@@ -11,7 +11,7 @@ computation, plus a CLI for the standard experiments.
 
 __version__ = "0.1.0"
 
-from .bem import BemSystem, FarField, build_system, far_field_matrix
+from .bem import BemSystem, FarField, build_system
 from .coefficients import (
     CoefficientVector,
     SystemMatrix,
@@ -43,7 +43,6 @@ __all__ = [
     "BemSystem",
     "FarField",
     "build_system",
-    "far_field_matrix",
     "CoefficientVector",
     "SystemMatrix",
     "canonical_angles",

@@ -223,18 +223,18 @@ class BemSystem:
             )
         return density[:, 0] if scalar else density
 
-    def far_field(self, density):
-        """FarField view of one solved density."""
-        wphi = (self.ff_weights * density[:, None]).ravel()
-        return FarField(
-            k=self.k, nodes=self.ff_nodes.reshape(-1, 2), weighted_density=wphi
-        )
-
     def solve_far_fields(self, alphas):
-        """List of FarField objects, one per incident angle."""
+        """Stacked FarField of the solves for the given incident angles;
+        column m belongs to alphas[m]."""
         alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
+        n_elements, q = self.ff_weights.shape
         densities = self.solve_density(alphas)
-        return [self.far_field(densities[:, i]) for i in range(len(alphas))]
+        wphi = self.ff_weights[:, :, None] * densities[:, None, :]
+        return FarField(
+            k=self.k,
+            nodes=self.ff_nodes.reshape(-1, 2),
+            weighted_density=wphi.reshape(n_elements * q, len(alphas)),
+        )
 
 
 def assemble(mesh, k):
@@ -302,39 +302,49 @@ def build_system(shape, k, **mesh_options):
 
 @dataclass
 class FarField:
-    """Far-field pattern of one scattering solve.
+    """Far-field patterns of one or more scattering solves.
 
-    value() accepts real or complex observation angles; the pattern is entire
-    in theta, and derivatives are taken under the integral sign.
+    weighted_density holds quadrature weight times density, (m,) for one
+    solve or (m, n) for n solves sharing the nodes.  value() accepts real
+    or complex observation angles and returns shape(theta), plus (n,) for
+    stacked solves; the pattern is entire in theta, and derivatives are
+    taken under the integral sign.  len(), [j] and iteration give the
+    stacked solves one at a time.
     """
 
     k: float
     nodes: np.ndarray  # (m, 2)
-    weighted_density: np.ndarray  # (m,) quadrature weight times density
+    weighted_density: np.ndarray  # (m,) or (m, n)
+
+    def __len__(self):
+        if self.weighted_density.ndim != 2:
+            raise TypeError("a single far field has no length")
+        return self.weighted_density.shape[1]
+
+    def __getitem__(self, j):
+        if self.weighted_density.ndim != 2:
+            raise TypeError("a single far field cannot be indexed")
+        return FarField(self.k, self.nodes, self.weighted_density[:, j])
 
     def value(self, theta, order=0):
+        if order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
         theta = np.asarray(theta)
-        scalar = theta.ndim == 0
-        flat = np.atleast_1d(theta).ravel()
-        out = np.empty(flat.shape, dtype=np.complex128)
+        flat = theta.ravel()
+        columns = self.weighted_density.shape[1:]
+        out = np.empty(flat.shape + columns, dtype=np.complex128)
         chunk = max(1, _FARFIELD_CHUNK // len(self.nodes))
         y1, y2 = self.nodes[:, 0], self.nodes[:, 1]
         for lo in range(0, len(flat), chunk):
             t = flat[lo : lo + chunk, None]
             f = -1j * self.k * (y1[None, :] * np.cos(t) + y2[None, :] * np.sin(t))
             integrand = np.exp(f)
-            if order == 1:
+            if order:
                 fp = -1j * self.k * (-y1[None, :] * np.sin(t) + y2[None, :] * np.cos(t))
-                integrand = fp * integrand
-            elif order == 2:
-                fp = -1j * self.k * (-y1[None, :] * np.sin(t) + y2[None, :] * np.cos(t))
-                integrand = (fp * fp - f) * integrand
-            elif order != 0:
-                raise ValueError("order must be 0, 1 or 2")
+                integrand *= fp if order == 1 else fp * fp - f
             out[lo : lo + chunk] = -0.5 * integrand @ self.weighted_density
-        if scalar:
-            return out[0]
-        return out.reshape(np.atleast_1d(theta).shape)
+        # [()] turns the 0-d result of a scalar theta into a scalar
+        return out.reshape(theta.shape + columns)[()]
 
     def scattered_field(self, points):
         """u_scattered at exterior points: -sum (i/4) H0(k r) w phi."""
@@ -342,40 +352,3 @@ class FarField:
         r = np.linalg.norm(points[:, None, :] - self.nodes[None, :, :], axis=2)
         kernel = 0.25j * hankel1(0, self.k * r)
         return -(kernel @ self.weighted_density)
-
-
-def far_field(solution, thetas, order=0):
-    """Far-field pattern values of a FarField solution object."""
-    return solution.value(thetas, order=order)
-
-
-def far_field_derivative(solution, thetas, order=1):
-    """Derivative of the far-field pattern with respect to theta."""
-    return solution.value(thetas, order=order)
-
-
-def far_field_matrix(system, densities, thetas):
-    """Far fields of many densities on a common real theta grid.
-
-    Parameters
-    ----------
-    system : BemSystem
-    densities : (n_elements, n_solves)
-    thetas : (n_theta,)
-
-    Returns
-    -------
-    (n_theta, n_solves) complex array
-    """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    wphi = system.ff_weights.reshape(-1, 1) * np.repeat(
-        densities, system.ff_weights.shape[1], axis=0
-    )
-    nodes = system.ff_nodes.reshape(-1, 2)
-    out = np.empty((len(thetas), densities.shape[1]), dtype=np.complex128)
-    chunk = max(1, _FARFIELD_CHUNK // len(nodes))
-    for lo in range(0, len(thetas), chunk):
-        t = thetas[lo : lo + chunk, None]
-        phase = nodes[None, :, 0] * np.cos(t) + nodes[None, :, 1] * np.sin(t)
-        out[lo : lo + chunk] = -0.5 * np.exp(-1j * system.k * phase) @ wphi
-    return out

@@ -14,7 +14,8 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .embedding import (
     PoleOnContour,
     StabilizedEvaluator,
     lambda_weight,
-    pole_set,
 )
 from .geometry import (
     PRESET_NAMES,
@@ -88,7 +88,6 @@ class ExperimentConfig:
     n_alpha: int = 200
     out: str | None = None
     seed: int = 0
-    threads: int = 1
     elements_per_wavelength: float = 8.0
     grading: float = 0.15
     grading_layers: int = 8
@@ -114,8 +113,6 @@ class ExperimentConfig:
             raise ConfigError("grid sizes must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("threads must be a positive integer")
         if self.elements_per_wavelength < 2.0:
             raise ConfigError("elements_per_wavelength must be at least 2")
         if not (0.0 < self.grading < 1.0):
@@ -138,25 +135,17 @@ _CONFIG_KEYS.update(
     }
 )
 
+
+def _value_type(hint):
+    """The value type of a field annotation, with `X | None` unwrapped."""
+    return next(
+        (t for t in typing.get_args(hint) if t is not type(None)), hint
+    )
+
+
 _FIELD_TYPES = {
-    "shape": str,
-    "geometry_file": str,
-    "k": float,
-    "alpha": float,
-    "strategy": str,
-    "delta": float,
-    "mtilde": int,
-    "big_h": float,
-    "small_h": float,
-    "contour_order": int,
-    "n_theta": int,
-    "n_alpha": int,
-    "out": str,
-    "seed": int,
-    "threads": int,
-    "elements_per_wavelength": float,
-    "grading": float,
-    "grading_layers": int,
+    name: _value_type(hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
 }
 
 
@@ -232,7 +221,7 @@ class Pipeline:
     shape: object
     system: object
     angles: np.ndarray
-    far_fields: list
+    far_fields: object  # stacked bem.FarField, one column per angle
     matrix: object
     basis: EmbeddingBasis
     evaluator: StabilizedEvaluator
@@ -310,49 +299,59 @@ def reference_system(pipeline, shape=None):
     )
 
 
+def relative_error(values, reference, axis=None):
+    """Relative sup-norm error of values against reference.
+
+    With axis=None one global reference peak scales every entry; with
+    axis=0 each column is scaled by its own peak and the worst column
+    counts.  NaN anywhere in values gives NaN.
+    """
+    defect = np.max(np.abs(values - reference), axis=axis)
+    return float(np.max(defect / np.max(np.abs(reference), axis=axis)))
+
+
+def sweep_columns(evaluator, thetas, alphas):
+    """Stabilized values on a (theta, alpha) grid, one sweep per column."""
+    return np.stack(
+        [evaluator.evaluate_sweep(thetas, float(a))[0] for a in alphas], axis=1
+    )
+
+
+def _circle_grid(n):
+    """n equispaced angles on [0, 2 pi)."""
+    return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+
+
 def input_error(pipeline, ref_system, n=_ERROR_GRID_SIZE):
     """Largest relative sup-norm defect of the canonical solves."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    ref_fields = ref_system.solve_far_fields(pipeline.angles)
-    scale = 0.0
-    worst = 0.0
-    defects = []
-    for coarse, fine in zip(pipeline.far_fields, ref_fields):
-        ref_values = fine.value(thetas)
-        scale = max(scale, float(np.max(np.abs(ref_values))))
-        defects.append(float(np.max(np.abs(coarse.value(thetas) - ref_values))))
-    worst = max(defects)
-    return worst / scale
+    thetas = _circle_grid(n)
+    return relative_error(
+        pipeline.far_fields.value(thetas),
+        ref_system.solve_far_fields(pipeline.angles).value(thetas),
+    )
 
 
 def output_error(pipeline, ref_system, alphas, n=_ERROR_GRID_SIZE):
     """Largest per-incidence relative sup-norm error of the embedded
     far field, each incidence normalized by its own reference peak."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    worst = 0.0
-    for alpha in np.atleast_1d(alphas):
-        ref_values = ref_system.solve_far_fields([alpha])[0].value(thetas)
-        values, _ = pipeline.evaluator.evaluate_sweep(thetas, float(alpha))
-        scale = float(np.max(np.abs(ref_values)))
-        worst = max(worst, float(np.max(np.abs(values - ref_values))) / scale)
-    return worst
+    thetas = _circle_grid(n)
+    alphas = np.atleast_1d(alphas)
+    return relative_error(
+        sweep_columns(pipeline.evaluator, thetas, alphas),
+        ref_system.solve_far_fields(alphas).value(thetas),
+        axis=0,
+    )
 
 
 def torus_output_error(pipeline, ref_system, n_theta, n_alpha):
     """Relative sup-norm error of the embedded far field over the full
     observation-incidence torus, both directions equispaced, normalized
     by the global reference peak."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    alphas = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
-    ref_fields = ref_system.solve_far_fields(alphas)
-    worst = 0.0
-    scale = 0.0
-    for alpha, field in zip(alphas, ref_fields):
-        ref_values = field.value(thetas)
-        values, _ = pipeline.evaluator.evaluate_sweep(thetas, float(alpha))
-        scale = max(scale, float(np.max(np.abs(ref_values))))
-        worst = max(worst, float(np.max(np.abs(values - ref_values))))
-    return worst / scale
+    thetas, alphas = _circle_grid(n_theta), _circle_grid(n_alpha)
+    return relative_error(
+        sweep_columns(pipeline.evaluator, thetas, alphas),
+        ref_system.solve_far_fields(alphas).value(thetas),
+    )
 
 
 def naive_error_curve(pipeline, alpha, thetas, ref_values, scale):
@@ -360,11 +359,7 @@ def naive_error_curve(pipeline, alpha, thetas, ref_values, scale):
     basis = pipeline.basis
     b = pipeline.evaluator.coefficients(alpha)
     lam = lambda_weight(thetas, alpha, basis.p)
-    grid = basis.values_matrix(thetas)
-    numerator = np.zeros(len(thetas), dtype=np.complex128)
-    for m, alpha_m in enumerate(basis.angles):
-        if b[m] != 0.0:
-            numerator += b[m] * lambda_weight(thetas, alpha_m, basis.p) * grid[m]
+    numerator = basis.numerator(b, thetas)
     err = np.full(len(thetas), np.inf)
     ok = np.abs(lam) > 1e-12
     err[ok] = np.abs(numerator[ok] / lam[ok] - ref_values[ok]) / scale
@@ -450,7 +445,7 @@ def cmd_sweep(config):
     pipeline = build_pipeline(config)
     ref = reference_system(pipeline)
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, config.n_theta, endpoint=False)
+    thetas = _circle_grid(config.n_theta)
     ref_values = ref.solve_far_fields([alpha])[0].value(thetas)
     scale = float(np.max(np.abs(ref_values)))
     values, labels = pipeline.evaluator.evaluate_sweep(thetas, alpha)
@@ -487,13 +482,10 @@ def cmd_sweep(config):
 def cmd_grid(config):
     start = time.perf_counter()
     pipeline = build_pipeline(config)
-    thetas = np.linspace(0.0, 2.0 * np.pi, config.n_theta, endpoint=False)
-    alphas = np.linspace(0.0, 2.0 * np.pi, config.n_alpha, endpoint=False)
+    thetas = _circle_grid(config.n_theta)
+    alphas = _circle_grid(config.n_alpha)
 
-    grid = np.empty((config.n_theta, config.n_alpha), dtype=np.complex128)
-    for j, alpha in enumerate(alphas):
-        values, _ = pipeline.evaluator.evaluate_sweep(thetas, float(alpha))
-        grid[:, j] = values
+    grid = sweep_columns(pipeline.evaluator, thetas, alphas)
     # canonical columns come straight from the stored canonical solves
     for m, alpha_m in enumerate(pipeline.angles):
         hits = np.nonzero(np.abs(alphas - alpha_m) <= 1e-12)[0]
@@ -516,18 +508,9 @@ def cmd_grid(config):
     )
     ref = reference_system(pipeline)
     err_header = ["theta"] + [f"relerr_alpha={_fmt(alphas[j])}" for j in picks]
-    err_columns = []
-    worst = 0.0
-    for j in picks:
-        ref_values = ref.solve_far_fields([float(alphas[j])])[0].value(thetas)
-        scale = float(np.max(np.abs(ref_values)))
-        err = np.abs(grid[:, j] - ref_values) / scale
-        worst = max(worst, float(np.max(err)))
-        err_columns.append(err)
-    err_rows = [
-        [thetas[i]] + [col[i] for col in err_columns]
-        for i in range(config.n_theta)
-    ]
+    ref_values = ref.solve_far_fields(alphas[picks]).value(thetas)
+    err = np.abs(grid[:, picks] - ref_values) / np.max(np.abs(ref_values), axis=0)
+    err_rows = [[thetas[i]] + list(err[i]) for i in range(config.n_theta)]
     err_out = _with_suffix(out, ".errors.csv")
     write_csv(
         err_out,
@@ -539,7 +522,7 @@ def cmd_grid(config):
     )
     report = ErrorReport(
         e_in=input_error(pipeline, ref),
-        e_out=worst,
+        e_out=float(np.max(err)),
         condition=pipeline.matrix.condition_number,
         coefficient_norm=float(
             np.median(
@@ -584,7 +567,7 @@ def _screen_angles(mtilde):
     return np.asarray(_SCREEN_BASE_ANGLES + _SCREEN_EXTRA_ANGLES[: mtilde - 2])
 
 
-def _trial_error(matrix, basis, config, strategy, delta, alphas, ref_values,
+def _trial_error(matrix, basis, config, strategy, delta, alphas, reference,
                  thetas):
     """Output error and coefficient norm for one solve strategy on a
     fixed canonical system."""
@@ -599,12 +582,9 @@ def _trial_error(matrix, basis, config, strategy, delta, alphas, ref_values,
         cluster_threshold=config.small_h,
         contour_order=config.contour_order,
     )
-    worst = 0.0
-    for alpha in alphas:
-        reference = ref_values[float(alpha)]
-        values, _ = evaluator.evaluate_sweep(thetas, float(alpha))
-        scale = float(np.max(np.abs(reference)))
-        worst = max(worst, float(np.max(np.abs(values - reference))) / scale)
+    worst = relative_error(
+        sweep_columns(evaluator, thetas, alphas), reference, axis=0
+    )
     bnorm = coefficients_for(
         matrix, float(alphas[0]), strategy=strategy, delta=delta
     ).coefficient_norm
@@ -628,105 +608,56 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
         "cond",
         "status",
     ]
-    thetas = np.linspace(0.0, 2.0 * np.pi, _ERROR_GRID_SIZE, endpoint=False)
+    thetas = _circle_grid(_ERROR_GRID_SIZE)
     rng = np.random.default_rng(config.seed)
     test_alphas = rng.uniform(0.0, 2.0 * np.pi, 3)
     trials = [("two", config.delta)] + [("one", d) for d in delta_list]
-
-    def run_trials(part, shape_name, k, mtilde, offset, matrix, basis, e_in,
-                   ref_values):
-        cond = matrix.condition_number
-        for strategy, delta in trials:
-            try:
-                e_out, bnorm = _trial_error(
-                    matrix, basis, config, strategy, delta,
-                    test_alphas, ref_values, thetas,
-                )
-                status = "ok"
-            except (ZeroColumnEncountered, SingularSubmatrix):
-                # rank-deficient canonical set: report total failure
-                e_out, bnorm, status = 1.0, 0.0, "degenerate"
-            rows.append(
-                (
-                    part,
-                    shape_name,
-                    k,
-                    mtilde,
-                    strategy,
-                    delta if strategy == "one" else None,
-                    offset,
-                    e_in,
-                    e_out,
-                    bnorm,
-                    cond,
-                    status,
-                )
-            )
-
-    # degenerate screen angle sets around {pi/2, 3pi/2}
-    screen_config = replace(config, shape="screen", geometry_file=None, k=20.0)
-    shape = preset_shape("screen")
-    ref = None
-    ref_values = {}
-    for mtilde in mtilde_list:
-        angles = _screen_angles(mtilde)
-        base = build_pipeline(screen_config, shape=shape, canonical=angles)
-        if ref is None:
-            ref = reference_system(base, shape=shape)
-            ref_values = {
-                float(a): ref.solve_far_fields([a])[0].value(thetas)
-                for a in test_alphas
-            }
-        e_in = input_error(base, ref)
-        run_trials("screen", "screen", screen_config.k, mtilde, None,
-                   base.matrix, base.basis, e_in, ref_values)
-
+    tri_m = preset_shape("equilateral").m
+    # degenerate screen angle sets around {pi/2, 3pi/2}, then
     # near-degenerate equilateral-triangle angle sets a + (m-1) pi/6
-    triangle_config = replace(
-        config, shape="equilateral", geometry_file=None, k=10.0
-    )
-    tri_shape = preset_shape("equilateral")
-    tri_system = build_bem_system(
-        tri_shape,
-        triangle_config.k,
-        elements_per_wavelength=triangle_config.elements_per_wavelength,
-        grading_ratio=triangle_config.grading,
-        corner_layers=triangle_config.grading_layers,
-    )
-    tri_ref = build_bem_system(
-        tri_shape,
-        triangle_config.k,
-        elements_per_wavelength=(
-            triangle_config.elements_per_wavelength * _REFERENCE_REFINEMENT
-        ),
-        grading_ratio=triangle_config.grading,
-        corner_layers=triangle_config.grading_layers,
-    )
-    tri_ref_values = {
-        float(a): tri_ref.solve_far_fields([a])[0].value(thetas)
-        for a in test_alphas
-    }
-    for offset in _TRIANGLE_OFFSETS:
-        angles = np.mod(
-            offset + np.arange(tri_shape.m) * math.pi / 6.0, 2.0 * math.pi
-        )
-        far_fields = tri_system.solve_far_fields(angles)
-        matrix = build_coefficient_system(
-            angles, far_fields, tri_shape.p, tri_shape.m
-        )
-        basis = EmbeddingBasis(
-            p=tri_shape.p, angles=angles, far_fields=far_fields
-        )
-        ref_fields = tri_ref.solve_far_fields(angles)
-        scale = max(
-            float(np.max(np.abs(field.value(thetas)))) for field in ref_fields
-        )
-        e_in = max(
-            float(np.max(np.abs(coarse.value(thetas) - fine.value(thetas))))
-            for coarse, fine in zip(far_fields, ref_fields)
-        ) / scale
-        run_trials("triangle", "equilateral", triangle_config.k, tri_shape.m,
-                   offset, matrix, basis, e_in, tri_ref_values)
+    studies = [
+        ("screen", "screen", 20.0,
+         [(None, _screen_angles(mtilde)) for mtilde in mtilde_list]),
+        ("triangle", "equilateral", 10.0,
+         [(a, np.mod(a + np.arange(tri_m) * math.pi / 6.0, 2.0 * math.pi))
+          for a in _TRIANGLE_OFFSETS]),
+    ]
+    for part, shape_name, k, angle_sets in studies:
+        study_config = replace(config, shape=shape_name, geometry_file=None, k=k)
+        ref = None
+        for offset, angles in angle_sets:
+            base = build_pipeline(study_config, canonical=angles)
+            if ref is None:
+                ref = reference_system(base)
+                reference = ref.solve_far_fields(test_alphas).value(thetas)
+            e_in = input_error(base, ref)
+            cond = base.matrix.condition_number
+            for strategy, delta in trials:
+                try:
+                    e_out, bnorm = _trial_error(
+                        base.matrix, base.basis, config, strategy, delta,
+                        test_alphas, reference, thetas,
+                    )
+                    status = "ok"
+                except (ZeroColumnEncountered, SingularSubmatrix):
+                    # rank-deficient canonical set: report total failure
+                    e_out, bnorm, status = 1.0, 0.0, "degenerate"
+                rows.append(
+                    (
+                        part,
+                        shape_name,
+                        k,
+                        len(angles),
+                        strategy,
+                        delta if strategy == "one" else None,
+                        offset,
+                        e_in,
+                        e_out,
+                        bnorm,
+                        cond,
+                        status,
+                    )
+                )
 
     out = config.out or "oversampling_study.csv"
     write_csv(out, "study-oversampling", config, header, rows)
@@ -872,10 +803,6 @@ def _add_common_flags(parser):
     parser.add_argument("--out", default=None, help="output CSV path")
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads (recorded; evaluation is vectorized)",
-    )
 
 
 def _parse_float_list(text, flag):

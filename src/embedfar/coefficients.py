@@ -26,13 +26,11 @@ from .embedding import lambda_weight
 
 DEFAULT_DELTA = 1e-8
 DEFAULT_STRATEGY = "two"
-_MAX_JACOBI_SWEEPS = 60
-_MAX_SVD_DIM = 200
 _ZERO_COLUMN_TOL = 1e-14
 
 
 class NoConvergence(RuntimeError):
-    """Jacobi sweeps failed to diagonalize the Gram matrix."""
+    """The singular value decomposition did not converge."""
 
 
 class ZeroColumnEncountered(RuntimeError):
@@ -70,78 +68,20 @@ class SVDResult:
 
 
 def svd(matrix):
-    """One-sided Jacobi singular value decomposition of a square matrix.
+    """Singular value decomposition of a square matrix (LAPACK).
 
-    Columns are rotated in pairs until mutually orthogonal; the column
-    norms are then the singular values and the accumulated rotations
-    form the right factor.
+    Exactly zero columns give exactly zero singular values, so a matrix
+    with one reports an infinite condition number.
     """
-    a = np.array(matrix, dtype=np.complex128)
+    a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    if n > _MAX_SVD_DIM:
-        raise ValueError(f"dimension {n} exceeds the supported {_MAX_SVD_DIM}")
-    v = np.eye(n, dtype=np.complex128)
-
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ci, cj = a[:, i], a[:, j]
-                aa = float(np.real(np.vdot(ci, ci)))
-                bb = float(np.real(np.vdot(cj, cj)))
-                g = complex(np.vdot(ci, cj))
-                if abs(g) <= 1e-14 * math.sqrt(aa * bb) or aa == 0.0 or bb == 0.0:
-                    continue
-                rotated = True
-                phase = g / abs(g)
-                # phase-align column j, then a real Jacobi rotation
-                tau = (bb - aa) / (2.0 * abs(g))
-                t = math.copysign(1.0, tau) / (
-                    abs(tau) + math.sqrt(1.0 + tau * tau)
-                )
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = cs * t
-                ci = ci.copy()
-                cj_aligned = phase.conjugate() * cj
-                a[:, i] = cs * ci - sn * cj_aligned
-                a[:, j] = sn * ci + cs * cj_aligned
-                vi = v[:, i].copy()
-                vj_aligned = phase.conjugate() * v[:, j]
-                v[:, i] = cs * vi - sn * vj_aligned
-                v[:, j] = sn * vi + cs * vj_aligned
-        if not rotated:
-            break
-    else:
-        raise NoConvergence(
-            f"column pairs still coupled after {_MAX_JACOBI_SWEEPS} sweeps"
-        )
-
-    sigma = np.linalg.norm(a, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    a = a[:, order]
-    v = v[:, order]
-    u = np.zeros_like(a)
-    positive = sigma > 0.0
-    u[:, positive] = a[:, positive] / sigma[positive]
-    for idx in np.nonzero(~positive)[0]:
-        u[:, idx] = _orthonormal_completion(u, idx)
-    return SVDResult(u=u, sigma=sigma, v=v)
-
-
-def _orthonormal_completion(u, idx):
-    """A unit vector orthogonal to every filled column of u."""
-    n = u.shape[0]
-    for k in range(n):
-        candidate = np.zeros(n, dtype=np.complex128)
-        candidate[k] = 1.0
-        candidate -= u @ (u.conj().T @ candidate)
-        norm = np.linalg.norm(candidate)
-        if norm > 0.5:
-            return candidate / norm
-    raise NoConvergence("could not complete the left factor to a unitary")
+    try:
+        u, sigma, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK SVD: {exc}") from exc
+    sigma[np.count_nonzero(np.any(a != 0.0, axis=0)):] = 0.0
+    return SVDResult(u=u, sigma=sigma, v=vh.conj().T)
 
 
 def tsvd_pseudoinverse(matrix, delta):
@@ -203,7 +143,7 @@ class SystemMatrix:
     """The square canonical system and its cached factorizations."""
 
     angles: np.ndarray
-    far_fields: list
+    far_fields: object  # stacked: value(theta) has shape shape(theta) + (m,)
     p: int
     coefficient_count: int
     matrix: np.ndarray = field(init=False, repr=False)
@@ -218,11 +158,7 @@ class SystemMatrix:
         lam = lambda_weight(
             self.angles[:, None], self.angles[None, :], self.p
         )
-        columns = [
-            np.asarray(ff.value(self.angles), dtype=np.complex128)
-            for ff in self.far_fields
-        ]
-        self.matrix = lam * np.stack(columns, axis=1)
+        self.matrix = lam * self.far_fields.value(self.angles)
         self._svd = None
         self._subset = None
         self._subset_lu = None
@@ -245,9 +181,7 @@ class SystemMatrix:
         return float(sigma[0] / sigma[-1])
 
     def right_hand_side(self, alpha):
-        values = np.array(
-            [complex(ff.value(alpha)) for ff in self.far_fields]
-        )
+        values = self.far_fields.value(float(alpha))
         return self.sign * lambda_weight(alpha, self.angles, self.p) * values
 
     def subset(self):
@@ -289,7 +223,7 @@ def build_system(angles, far_fields, p, coefficient_count):
     """Assemble the canonical system matrix from solved far fields."""
     return SystemMatrix(
         angles=angles,
-        far_fields=list(far_fields),
+        far_fields=far_fields,
         p=p,
         coefficient_count=coefficient_count,
     )

@@ -176,15 +176,14 @@ def pole_environment(theta, alpha, p):
 class EmbeddingBasis:
     """Canonical incident angles and their far-field patterns.
 
-    far_fields[m] must expose value(theta, order) for real or complex theta,
-    orders 0..2 (bem.FarField does).
+    far_fields is one stacked operator: far_fields.value(theta, order)
+    returns D^(order)(theta, angles[m]) with shape shape(theta) + (m,) for
+    real or complex theta and orders 0..2 (bem.FarField does).
     """
 
     p: int
     angles: np.ndarray
-    far_fields: list
-
-    _grid_cache: tuple = field(default=None, repr=False, compare=False)
+    far_fields: object
 
     def __post_init__(self):
         self.angles = np.asarray(self.angles, dtype=np.float64)
@@ -196,43 +195,20 @@ class EmbeddingBasis:
 
     def hat_values(self, theta, order=0):
         """Weighted patterns hat_D(theta, alpha_m) = Lambda * D and their
-        theta-derivatives, shape (m,) + shape(theta)."""
-        rows = []
-        for alpha_m, ff in zip(self.angles, self.far_fields):
-            if order == 0:
-                rows.append(lambda_weight(theta, alpha_m, self.p) * ff.value(theta))
-            elif order == 1:
-                rows.append(
-                    lambda_weight(theta, alpha_m, self.p, 1) * ff.value(theta)
-                    + lambda_weight(theta, alpha_m, self.p) * ff.value(theta, 1)
-                )
-            elif order == 2:
-                rows.append(
-                    lambda_weight(theta, alpha_m, self.p, 2) * ff.value(theta)
-                    + 2.0 * lambda_weight(theta, alpha_m, self.p, 1) * ff.value(theta, 1)
-                    + lambda_weight(theta, alpha_m, self.p) * ff.value(theta, 2)
-                )
-            else:
-                raise ValueError("order must be 0, 1 or 2")
-        return np.asarray(rows)
-
-    def numerator(self, coefficients, theta, order=0):
-        """sum_m b_m hat_D^(order)(theta, alpha_m)."""
-        return np.tensordot(
-            np.asarray(coefficients), self.hat_values(theta, order), axes=(0, 0)
+        theta-derivatives (Leibniz rule), shape shape(theta) + (m,)."""
+        if order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
+        theta = np.asarray(theta)
+        return sum(
+            math.comb(order, j)
+            * lambda_weight(theta[..., None], self.angles, self.p, order - j)
+            * self.far_fields.value(theta, j)
+            for j in range(order + 1)
         )
 
-    def values_matrix(self, thetas):
-        """Unweighted far-field values D(theta_i, alpha_m), shape (m, T).
-
-        The most recent grid is cached since sweeps and grids reuse it
-        across many incident angles.
-        """
-        if self._grid_cache is not None and self._grid_cache[0] is thetas:
-            return self._grid_cache[1]
-        matrix = np.asarray([ff.value(thetas) for ff in self.far_fields])
-        self._grid_cache = (thetas, matrix)
-        return matrix
+    def numerator(self, coefficients, theta, order=0):
+        """sum_m b_m hat_D^(order)(theta, alpha_m), shape shape(theta)."""
+        return self.hat_values(theta, order) @ np.asarray(coefficients)
 
 
 def naive_eval(basis, coefficients, theta, alpha):
@@ -246,24 +222,28 @@ def naive_eval(basis, coefficients, theta, alpha):
     return basis.numerator(coefficients, theta) / lam
 
 
+def _residue_term(basis, coefficients, chi, theta):
+    """Simple-pole residue correction numerator(chi) / (p (chi - theta)
+    sin(p chi)) at one zero chi of Lambda."""
+    p = basis.p
+    s = math.sin(p * chi)
+    if abs(s) <= 1e-12:
+        raise DoublePoleInSimpleBranch(
+            f"zero at {chi} is double; residue formula invalid"
+        )
+    return basis.numerator(coefficients, chi) / (p * (chi - theta) * s)
+
+
 def residue_eval(basis, coefficients, theta, alpha, include):
     """Naive quotient minus the simple-pole residue corrections at the
     zeros listed in include.
 
-    Each correction is numerator(chi) / (p (chi - theta) sin(p chi)); a
-    coalesced zero (sin(p chi) ~ 0) is rejected with
+    A coalesced zero (sin(p chi) ~ 0) is rejected with
     DoublePoleInSimpleBranch, and the contour form must be used instead.
     """
     value = naive_eval(basis, coefficients, theta, alpha)
-    p = basis.p
     for chi in np.atleast_1d(include):
-        chi = float(chi)
-        s = math.sin(p * chi)
-        if abs(s) <= 1e-12:
-            raise DoublePoleInSimpleBranch(
-                f"zero at {chi} is double; residue formula invalid"
-            )
-        value -= basis.numerator(coefficients, chi) / (p * (chi - theta) * s)
+        value -= _residue_term(basis, coefficients, float(chi), theta)
     return value
 
 
@@ -381,15 +361,7 @@ class StabilizedEvaluator:
         near = dist < self.near_threshold
 
         lam = lambda_weight(thetas, alpha, self.basis.p)
-        weighted = np.zeros(len(thetas), dtype=np.complex128)
-        grid_values = self.basis.values_matrix(thetas)
-        for m, alpha_m in enumerate(self.basis.angles):
-            if b[m] != 0.0:
-                weighted += (
-                    b[m]
-                    * lambda_weight(thetas, alpha_m, self.basis.p)
-                    * grid_values[m]
-                )
+        weighted = self.basis.numerator(b, thetas)
         values = np.empty(len(thetas), dtype=np.complex128)
         labels = np.empty(len(thetas), dtype=object)
         safe = ~near
@@ -402,18 +374,6 @@ class StabilizedEvaluator:
         return values, labels
 
     # internal helpers ---------------------------------------------------
-
-    def _naive(self, b, theta, alpha):
-        lam = complex(lambda_weight(theta, alpha, self.basis.p))
-        if abs(lam) <= 1e-12:
-            raise PoleAtTheta(f"Lambda vanishes at theta={theta!r}")
-        return complex(self.basis.numerator(b, theta)) / lam
-
-    def _residue(self, b, chi, theta):
-        p = self.basis.p
-        return complex(self.basis.numerator(b, chi)) / (
-            p * (chi - theta) * math.sin(p * chi)
-        )
 
     def _quadratic(self, b, theta, env):
         """Quadratic fit of the numerator at {theta, theta0, theta0'}.
@@ -475,7 +435,7 @@ class StabilizedEvaluator:
         big_h, small_h = self.near_threshold, self.cluster_threshold
 
         if d0 >= big_h:
-            return self._naive(b, theta, alpha), "naive"
+            return naive_eval(self.basis, b, theta, alpha), "naive"
 
         if d0 <= _EXACT and env.is_double:
             # both Lambda and the numerator vanish doubly at theta0
@@ -489,7 +449,7 @@ class StabilizedEvaluator:
                 return value, "contour:full"
             value, pulled = self._contour_value(b, theta, alpha, [th0], env)
             if d01 < big_h and not pulled:
-                value -= self._residue(b, th1, theta)
+                value -= _residue_term(self.basis, b, th1, theta)
             return value, "contour:full"
 
         # moderate distance: naive plus explicit corrections
@@ -505,11 +465,9 @@ class StabilizedEvaluator:
             correction = contour_eval(
                 rho, theta, alpha, p, contour, self.contour_order
             )
-            return self._naive(b, theta, alpha) - complex(correction), "contour:pair"
+            value = naive_eval(self.basis, b, theta, alpha) - complex(correction)
+            return value, "contour:pair"
         if d01 < big_h:
-            value = self._naive(b, theta, alpha)
-            value -= self._residue(b, th0, theta)
-            value -= self._residue(b, th1, theta)
+            value = residue_eval(self.basis, b, theta, alpha, [th0, th1])
             return value, "residue:two"
-        value = self._naive(b, theta, alpha) - self._residue(b, th0, theta)
-        return value, "residue:single"
+        return residue_eval(self.basis, b, theta, alpha, [th0]), "residue:single"

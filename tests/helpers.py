@@ -43,6 +43,24 @@ class TrigFarField:
         return TrigFarField(coeffs)
 
 
+class TrigFarFields:
+    """Several TrigFarField patterns behind the stacked surface of
+    bem.FarField: value(theta, order) has shape shape(theta) + (n,), and
+    len() and [m] give the patterns one at a time."""
+
+    def __init__(self, fields):
+        self.fields = list(fields)
+
+    def __len__(self):
+        return len(self.fields)
+
+    def __getitem__(self, m):
+        return self.fields[m]
+
+    def value(self, theta, order=0):
+        return np.stack([f.value(theta, order) for f in self.fields], axis=-1)
+
+
 def random_trig(rng, degree=3, scale=1.0):
     """Random complex Fourier series of the given degree."""
     return TrigFarField(
@@ -61,9 +79,10 @@ def _pair_matrix(T, angles, p):
 def rank_one_family(p, rng, degree=3, angles=None):
     """Random symmetric family D = T(theta) T(alpha) and canonical data.
 
-    Returns (T, angles, fields) where fields[m] is D(., angles[m]).  When no
-    angles are given, two are drawn at random, rejecting pairs whose
-    coefficient conditions are nearly dependent.
+    Returns (T, angles, fields) where fields is a TrigFarFields stack and
+    fields[m] is D(., angles[m]).  When no angles are given, two are drawn
+    at random, rejecting pairs whose coefficient conditions are nearly
+    dependent.
     """
     T = random_trig(rng, degree)
     if angles is None:
@@ -72,7 +91,7 @@ def rank_one_family(p, rng, degree=3, angles=None):
             if abs(np.linalg.det(_pair_matrix(T, angles, p))) > 0.1:
                 break
     angles = np.asarray(angles, dtype=np.float64)
-    fields = [T.scaled(complex(T.value(a))) for a in angles]
+    fields = TrigFarFields(T.scaled(complex(T.value(a))) for a in angles)
     return T, angles, fields
 
 

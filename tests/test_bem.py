@@ -8,7 +8,6 @@ import pytest
 from embedfar.bem import (
     build_mesh,
     build_system,
-    far_field_matrix,
     hankel1,
 )
 from embedfar.embedding import lambda_weight
@@ -87,11 +86,22 @@ def test_solver_surface(square_k5):
     assert np.iscomplexobj(values)
     scalar = fields[0].value(1.0)
     assert complex(scalar) == complex(fields[0].value(np.array([1.0]))[0])
-    densities = square_k5.solve_density(np.asarray(alphas))
-    stack = far_field_matrix(square_k5, densities, thetas)
-    assert stack.shape == (len(thetas), 3)
-    for i, ff in enumerate(fields):
-        assert np.allclose(stack[:, i], ff.value(thetas), atol=1e-12)
+    assert fields.value(1.0).shape == (3,)
+    # one stacked evaluation matches the columns taken one at a time, and
+    # each column matches its own solve, for real and complex theta
+    theta_grid = thetas[:, None] + np.array([0.0, 0.02j, -0.3j])
+    alone = [square_k5.solve_far_fields(a)[0] for a in alphas]
+    for order in (0, 1, 2):
+        stack = fields.value(theta_grid, order)
+        assert stack.shape == theta_grid.shape + (3,)
+        for i, ff in enumerate(fields):
+            for single in (ff, alone[i]):
+                column = single.value(theta_grid, order)
+                scale = float(np.max(np.abs(column)))
+                assert float(np.max(np.abs(stack[..., i] - column))) <= 1e-12 * scale
+    assert len(list(fields)) == 3
+    with pytest.raises(TypeError):
+        len(fields[0])
 
 
 def test_far_field_derivatives_match_finite_differences(square_k5):
@@ -176,6 +186,12 @@ def test_solver_rejects_empty_and_rough_input():
     shape = preset_shape("square")
     with pytest.raises(ValueError):
         build_system(shape, 5.0, elements_per_wavelength=0.0)
+
+
+def test_package_exports_resolve():
+    import embedfar
+
+    assert [name for name in embedfar.__all__ if not hasattr(embedfar, name)] == []
 
 
 def test_hankel_reexport_matches_module():

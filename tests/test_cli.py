@@ -1,5 +1,6 @@
 """Command-line interface: config handling, outputs, exit codes."""
 
+import math
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -119,7 +120,6 @@ def test_validate_rejects_bad_configs():
         {"contour_order": 1},
         {"n_theta": 0},
         {"seed": -1},
-        {"threads": 0},
         {"elements_per_wavelength": 1.0},
         {"grading": 1.5},
         {"grading_layers": -1},
@@ -128,6 +128,19 @@ def test_validate_rejects_bad_configs():
         with pytest.raises(ConfigError):
             ExperimentConfig(**overrides).validate()
     assert ExperimentConfig().validate().strategy == "two"
+
+
+def test_output_errors_propagate_nan(square_k5):
+    # one NaN from the evaluator must surface in the error, not vanish in a max
+    class NanEvaluator:
+        def evaluate_sweep(self, thetas, alpha):
+            values = square_k5.solve_far_fields([alpha])[0].value(thetas)
+            values[3] = np.nan
+            return values, np.full(len(thetas), "naive", dtype=object)
+
+    pipeline = SimpleNamespace(evaluator=NanEvaluator())
+    assert math.isnan(cli.output_error(pipeline, square_k5, [0.4, 2.0], n=50))
+    assert math.isnan(cli.torus_output_error(pipeline, square_k5, 20, 4))
 
 
 def test_write_csv_deterministic_and_metadata(tmp_path):

@@ -1,4 +1,4 @@
-"""Canonical system assembly, Jacobi SVD, TSVD, and column selection."""
+"""Canonical system assembly, SVD, TSVD, and column selection."""
 
 import itertools
 import math
@@ -19,7 +19,7 @@ from embedfar.coefficients import (
     tsvd_pseudoinverse,
 )
 from embedfar.embedding import lambda_weight
-from helpers import random_trig
+from helpers import TrigFarFields, random_trig
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,7 +33,7 @@ def _family_system(p, angles, seed, count=2):
     rng = np.random.default_rng(seed)
     T = random_trig(rng, degree=3)
     angles = np.asarray(angles, dtype=np.float64)
-    fields = [T.scaled(complex(T.value(a))) for a in angles]
+    fields = TrigFarFields(T.scaled(complex(T.value(a))) for a in angles)
     return T, build_system(angles, fields, p, coefficient_count=count)
 
 
@@ -110,8 +110,11 @@ def test_svd_zero_columns_complete_unitary():
 def test_svd_rejects_bad_shapes():
     with pytest.raises(ValueError):
         svd(np.ones((3, 4)))
-    with pytest.raises(ValueError):
-        svd(np.ones((201, 201)))
+    # no size cap: a 201 x 201 matrix factorizes
+    rng = np.random.default_rng(106)
+    a = _random_complex(rng, (201, 201))
+    res = svd(a)
+    assert np.allclose(res.reconstruct(), a, atol=1e-11 * float(np.linalg.norm(a)))
 
 
 @settings(max_examples=40)
@@ -299,7 +302,7 @@ def test_degenerate_screen_pair_is_flagged():
     rng = np.random.default_rng(56)
     T = random_trig(rng, degree=2)
     angles = np.array([math.pi / 2.0, 1.5 * math.pi])
-    fields = [T.scaled(complex(T.value(a))) for a in angles]
+    fields = TrigFarFields(T.scaled(complex(T.value(a))) for a in angles)
     system = build_system(angles, fields, 1, coefficient_count=2)
     assert float(np.max(np.abs(system.matrix))) <= 1e-12
     with pytest.raises(ZeroColumnEncountered):

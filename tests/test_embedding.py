@@ -23,6 +23,7 @@ from embedfar.embedding import (
     strip_half_width,
 )
 from helpers import (
+    TrigFarFields,
     exact_coefficients,
     random_trig,
     rank_one_family,
@@ -345,7 +346,7 @@ def test_stabilization_bounds_noise_amplification():
     p = 2
     T, angles, fields = rank_one_family(p, rng)
     eps = 1e-6
-    noisy = [f.plus(random_trig(rng, degree=3), eps) for f in fields]
+    noisy = TrigFarFields(f.plus(random_trig(rng, degree=3), eps) for f in fields)
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=noisy)
     alpha = 0.8
     b = exact_coefficients(T, angles, p, alpha)
@@ -382,3 +383,22 @@ def test_coefficient_cache_and_branch_counts():
     evaluator.evaluate(1.0, 0.9)
     assert len(calls) == 1
     assert sum(evaluator.branch_counts.values()) == 201
+
+
+def test_sweep_follows_in_place_edits_of_thetas():
+    # the bulk must use the values in thetas, not a result remembered for
+    # the same array object
+    rng = np.random.default_rng(37)
+    p = 3
+    T, angles, fields = rank_one_family(p, rng)
+    basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
+    evaluator = StabilizedEvaluator(
+        basis=basis,
+        coefficient_supplier=lambda a: exact_coefficients(T, angles, p, a),
+    )
+    thetas = np.linspace(0.0, TWO_PI, 90, endpoint=False)
+    evaluator.evaluate_sweep(thetas, 0.9)
+    thetas += 0.37
+    edited, _ = evaluator.evaluate_sweep(thetas, 0.9)
+    fresh, _ = evaluator.evaluate_sweep(thetas.copy(), 0.9)
+    assert np.array_equal(edited, fresh)
