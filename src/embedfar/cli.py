@@ -93,6 +93,10 @@ class ExperimentConfig:
     grading_layers: int = 8
 
     def validate(self):
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.geometry_file is None and self.shape not in PRESET_NAMES:
             raise ConfigError(
                 f"unknown shape {self.shape!r}; presets: {sorted(PRESET_NAMES)}"
@@ -147,6 +151,8 @@ _FIELD_TYPES = {
     name: _value_type(hint)
     for name, hint in typing.get_type_hints(ExperimentConfig).items()
 }
+# real-valued fields, which validate() requires to be finite
+_REAL_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind is float)
 
 
 def parse_config_file(path):

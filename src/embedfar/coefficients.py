@@ -27,6 +27,8 @@ from .embedding import lambda_weight
 DEFAULT_DELTA = 1e-8
 DEFAULT_STRATEGY = "two"
 _ZERO_COLUMN_TOL = 1e-14
+# column norms this close (relative) to the largest are tied
+_TIE_TOL = 8.0 * np.finfo(np.float64).eps
 
 
 class NoConvergence(RuntimeError):
@@ -97,9 +99,11 @@ def tsvd_pseudoinverse(matrix, delta):
 def column_subset(matrix, count):
     """Greedy pivoted column selection.
 
-    Repeatedly takes the column of largest Euclidean norm (lowest index
-    on ties), then projects it out of all remaining columns, so each
-    pick maximizes volume against the span selected so far.
+    Repeatedly takes the column of largest Euclidean norm, then projects
+    it out of all remaining columns, so each pick maximizes volume against
+    the span selected so far.  Norms within _TIE_TOL (relative) of the
+    largest count as tied and the lowest index wins, so rounding noise in
+    exactly tied columns (symmetric angle sets) cannot decide the pick.
     """
     work = np.array(matrix, dtype=np.complex128)
     n = work.shape[1]
@@ -110,7 +114,8 @@ def column_subset(matrix, count):
     for _ in range(count):
         norms = np.linalg.norm(work, axis=0)
         norms[~available] = -1.0
-        pick = int(np.argmax(norms))
+        largest = norms.max()
+        pick = int(np.argmax(norms >= largest * (1.0 - _TIE_TOL)))
         if norms[pick] < _ZERO_COLUMN_TOL:
             raise ZeroColumnEncountered(
                 f"rank below {count}: largest remaining column norm "

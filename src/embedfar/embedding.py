@@ -144,32 +144,37 @@ def pole_set(alpha, p):
 
 def pole_environment(theta, alpha, p):
     """Nearest zeros of Lambda(., alpha) around theta; see PoleEnvironment."""
-    theta = float(theta)
+    return PoleEnvironment(*_environment(float(theta), float(alpha), p))
+
+
+def _environment(theta, alpha, p):
+    """pole_environment's fields for Python floats, as a tuple.
+
+    Each family of zeros (+alpha and -alpha) offers its zero nearest theta;
+    the second nearest zero is the other family's, or the neighbour of the
+    nearest one on theta's side, whichever is closer.
+    """
     spacing = _TWO_PI / p
     offset = math.pi / p if p % 2 else 0.0
-    candidates = []
-    for sign in (1.0, -1.0):
-        base = sign * float(alpha) + offset
-        n0 = round((theta - base) / spacing)
-        for dn in (-1, 0, 1):
-            candidates.append(base + (n0 + dn) * spacing)
-    candidates.sort(key=lambda c: abs(c - theta))
-    theta0 = candidates[0]
-
-    nearest_lattice = round(theta0 * p / math.pi) * math.pi / p
-    is_double = abs(theta0 - nearest_lattice) <= 1e-12
+    plus, minus = offset + alpha, offset - alpha
+    near_plus = plus + round((theta - plus) / spacing) * spacing
+    near_minus = minus + round((theta - minus) / spacing) * spacing
+    gap_plus, gap_minus = abs(theta - near_plus), abs(theta - near_minus)
+    if gap_minus < gap_plus:
+        theta0, other, d0, d_other = near_minus, near_plus, gap_minus, gap_plus
+    else:
+        theta0, other, d0, d_other = near_plus, near_minus, gap_plus, gap_minus
+    theta_star = round(theta0 * p / math.pi) * math.pi / p
+    # coinciding zeros of the two families make a double zero, so the
+    # other family's zero is distinct from a simple theta0
+    is_double = abs(theta0 - theta_star) <= 1e-12
     if is_double:
         theta0_prime = theta0
+    elif d_other <= spacing - d0:
+        theta0_prime = other
     else:
-        theta0_prime = next(
-            c for c in candidates[1:] if abs(c - theta0) > 1e-12
-        )
-    return PoleEnvironment(
-        theta0=theta0,
-        theta0_prime=theta0_prime,
-        theta_star=nearest_lattice,
-        is_double=is_double,
-    )
+        theta0_prime = theta0 + math.copysign(spacing, theta - theta0)
+    return theta0, theta0_prime, theta_star, is_double
 
 
 @dataclass
@@ -195,20 +200,36 @@ class EmbeddingBasis:
 
     def hat_values(self, theta, order=0):
         """Weighted patterns hat_D(theta, alpha_m) = Lambda * D and their
-        theta-derivatives (Leibniz rule), shape shape(theta) + (m,)."""
+        theta-derivatives through `order` (Leibniz rule), stacked with
+        shape (order + 1,) + shape(theta) + (m,); one far-field call per
+        order."""
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
         theta = np.asarray(theta)
-        return sum(
-            math.comb(order, j)
-            * lambda_weight(theta[..., None], self.angles, self.p, order - j)
-            * self.far_fields.value(theta, j)
+        fields = [self.far_fields.value(theta, j) for j in range(order + 1)]
+        weights = [
+            lambda_weight(theta[..., None], self.angles, self.p, j)
             for j in range(order + 1)
-        )
+        ]
+        out = np.empty((order + 1,) + fields[0].shape, dtype=np.complex128)
+        for n in range(order + 1):
+            out[n] = weights[n] * fields[0]
+            for j in range(1, n + 1):
+                out[n] += math.comb(n, j) * weights[n - j] * fields[j]
+        return out
 
     def numerator(self, coefficients, theta, order=0):
         """sum_m b_m hat_D^(order)(theta, alpha_m), shape shape(theta)."""
-        return self.hat_values(theta, order) @ np.asarray(coefficients)
+        return _weigh(self.hat_values(theta, order)[order], coefficients)
+
+
+def _weigh(hat, coefficients):
+    """sum_m hat[..., m] b_m as a product and a sum over the last axis.
+    Unlike a BLAS product this gives each row the same digits whatever the
+    number of rows, so a sweep reproduces one-point evaluation wherever
+    the far fields do; the divided differences next to a zero amplify
+    rounding differences by up to 1/_CONFLUENT**2."""
+    return (hat * coefficients).sum(axis=-1)
 
 
 def naive_eval(basis, coefficients, theta, alpha):
@@ -222,16 +243,15 @@ def naive_eval(basis, coefficients, theta, alpha):
     return basis.numerator(coefficients, theta) / lam
 
 
-def _residue_term(basis, coefficients, chi, theta):
+def _residue_term(p, numerator_at_chi, chi, theta):
     """Simple-pole residue correction numerator(chi) / (p (chi - theta)
     sin(p chi)) at one zero chi of Lambda."""
-    p = basis.p
     s = math.sin(p * chi)
     if abs(s) <= 1e-12:
         raise DoublePoleInSimpleBranch(
             f"zero at {chi} is double; residue formula invalid"
         )
-    return basis.numerator(coefficients, chi) / (p * (chi - theta) * s)
+    return numerator_at_chi / (p * (chi - theta) * s)
 
 
 def residue_eval(basis, coefficients, theta, alpha, include):
@@ -243,7 +263,10 @@ def residue_eval(basis, coefficients, theta, alpha, include):
     """
     value = naive_eval(basis, coefficients, theta, alpha)
     for chi in np.atleast_1d(include):
-        value -= _residue_term(basis, coefficients, float(chi), theta)
+        chi = float(chi)
+        value -= _residue_term(
+            basis.p, basis.numerator(coefficients, chi), chi, theta
+        )
     return value
 
 
@@ -310,6 +333,38 @@ def contour_eval(numerator_fn, theta, alpha, p, contour, order=DEFAULT_CONTOUR_O
     return np.sum(values * weights) / (2j * math.pi)
 
 
+def _fit_quadratic(theta, th0, th1, is_double, at_theta, at_th0, at_th1):
+    """Quadratic fit of the numerator at {theta, theta0, theta0'} from its
+    values there; at_th0 holds the value at theta0 and, where needed, its
+    first and second derivatives.
+
+    Nodes closer together than the confluence gate are merged into
+    derivative conditions at theta0 (all three merging into a local
+    Taylor polynomial), which keeps the divided differences clear of
+    catastrophic cancellation.
+    """
+    confluent = is_double or abs(th0 - th1) <= _CONFLUENT
+    theta_hits_pole = abs(theta - th0) <= _CONFLUENT
+    if theta_hits_pole and confluent:
+        return QuadraticInterpolant(
+            newton_nodes=(th0, th0, th0),
+            newton_coeffs=(
+                complex(at_th0[0]),
+                complex(at_th0[1]),
+                0.5 * complex(at_th0[2]),
+            ),
+        )
+    if theta_hits_pole or confluent:
+        other, at_other = (th1, at_th1) if theta_hits_pole else (theta, at_theta)
+        return quadratic_interpolate(
+            [th0, other],
+            [at_th0[0], at_other],
+            derivative_node=th0,
+            derivative_value=complex(at_th0[1]),
+        )
+    return quadratic_interpolate([theta, th0, th1], [at_theta, at_th0[0], at_th1])
+
+
 @dataclass
 class StabilizedEvaluator:
     """Far-field evaluation through the embedding formula with automatic
@@ -327,6 +382,8 @@ class StabilizedEvaluator:
     branch_counts: Counter = field(default_factory=Counter)
 
     _coeff_cache: dict = field(default_factory=dict, repr=False)
+    # (thetas.tobytes(), basis.hat_values(thetas)[0]) of the last grid
+    _grid: tuple = field(default=(None, None), repr=False)
 
     def coefficients(self, alpha):
         alpha = float(alpha)
@@ -342,132 +399,148 @@ class StabilizedEvaluator:
         return self.evaluate_with_branch(theta, alpha)[0]
 
     def evaluate_with_branch(self, theta, alpha):
-        b = self.coefficients(alpha)
-        value, label = self._dispatch(float(theta), float(alpha), b)
-        self.branch_counts[label] += 1
-        return value, label
+        """Value and branch label at one (theta, alpha) pair: a one-point
+        sweep, which leaves the kept grid alone."""
+        theta = np.array([float(theta)])
+        patterns = self.basis.hat_values(theta)[0]
+        values, labels = self._sweep(theta, float(alpha), patterns)
+        return values[0], labels[0]
 
     def evaluate_sweep(self, thetas, alpha):
         """Values and branch labels over a grid of observation angles.
 
-        The pole-free bulk goes through one vectorized naive evaluation;
-        only points within the near threshold of a zero take the scalar
-        correction path.
+        The weighted canonical patterns on the grid do not depend on alpha
+        and are reused while the grid's values stay the same.  The naive
+        quotient and the cut |Lambda| <= p H for points near a zero run on
+        arrays; the numerator at the zeros the near points use comes from
+        one far-field call per derivative order, and each near point then
+        takes its branch from these values.
         """
         thetas = np.asarray(thetas, dtype=np.float64)
-        b = self.coefficients(alpha)
-        zeros = pole_set(alpha, self.basis.p)
-        dist = angle_distance(thetas[:, None], zeros[None, :]).min(axis=1)
-        near = dist < self.near_threshold
-
-        lam = lambda_weight(thetas, alpha, self.basis.p)
-        weighted = self.basis.numerator(b, thetas)
-        values = np.empty(len(thetas), dtype=np.complex128)
-        labels = np.empty(len(thetas), dtype=object)
-        safe = ~near
-        values[safe] = weighted[safe] / lam[safe]
-        labels[safe] = "naive"
-        self.branch_counts["naive"] += int(np.count_nonzero(safe))
-        for i in np.nonzero(near)[0]:
-            values[i], labels[i] = self._dispatch(float(thetas[i]), float(alpha), b)
-            self.branch_counts[labels[i]] += 1
-        return values, labels
+        return self._sweep(thetas, float(alpha), self._grid_patterns(thetas))
 
     # internal helpers ---------------------------------------------------
 
-    def _quadratic(self, b, theta, env):
-        """Quadratic fit of the numerator at {theta, theta0, theta0'}.
+    def _sweep(self, thetas, alpha, patterns):
+        """Values and labels over thetas, given basis.hat_values(thetas)[0]."""
+        p, n = self.basis.p, len(thetas)
+        big_h, small_h = self.near_threshold, self.cluster_threshold
+        b = self.coefficients(alpha)
+        lam = lambda_weight(thetas, alpha, p)
+        at_theta = _weigh(patterns, b)
+        labels = np.full(n, "naive", dtype=object)
 
-        Nodes closer together than the confluence gate are merged into
-        derivative conditions at theta0 (all three merging into a local
-        Taylor polynomial), which keeps the divided differences clear of
-        catastrophic cancellation.
-        """
-        th0, th1 = env.theta0, env.theta0_prime
-        confluent = env.is_double or abs(th0 - th1) <= _CONFLUENT
-        theta_hits_pole = abs(theta - th0) <= _CONFLUENT
+        # |Lambda| <= p d0, so only these points can lie within big_h of
+        # a zero; a sweep has few of them, so they go on as Python numbers
+        # (a numpy call costs more than the whole of _environment)
+        candidates = (np.abs(lam) <= p * big_h).nonzero()[0]
+        columns = (candidates, thetas[candidates], lam[candidates],
+                   at_theta[candidates])
+        points = []
+        for i, theta, lam_i, at_i in zip(*(column.tolist() for column in columns)):
+            th0, th1, _, double = _environment(theta, alpha, p)
+            if abs(theta - th0) < big_h:
+                points.append((i, theta, th0, th1, double, lam_i, at_i))
+        if not points:
+            self.branch_counts.update(labels.tolist())
+            return at_theta / lam, labels
+        values = np.zeros(n, dtype=np.complex128)
+        if len(points) < n:
+            far = np.ones(n, dtype=bool)
+            far[[point[0] for point in points]] = False
+            np.divide(at_theta, lam, out=values, where=far)
 
-        if theta_hits_pole and confluent:
-            value = complex(self.basis.numerator(b, th0))
-            slope = complex(self.basis.numerator(b, th0, order=1))
-            half_curv = 0.5 * complex(self.basis.numerator(b, th0, order=2))
-            return QuadraticInterpolant(
-                newton_nodes=(th0, th0, th0),
-                newton_coeffs=(value, slope, half_curv),
+        # the zeros each near point uses, and the derivative order its
+        # quadratic fit or l'Hopital's rule needs
+        zeros, uses_th1, order = [], [], 0
+        for _, theta, th0, th1, double, _, _ in points:
+            d0, d01 = abs(theta - th0), abs(th0 - th1)
+            uses = not double and (d0 < small_h or d01 < big_h)
+            zeros += [th0, th1] if uses else [th0]
+            uses_th1.append(uses)
+            hits, confluent = d0 <= _CONFLUENT, double or d01 <= _CONFLUENT
+            order = max(order, 2 if hits and confluent else int(hits or confluent))
+        # one far-field call per order on the distinct zeros (a single
+        # point's zeros are distinct already)
+        index = range(len(zeros))
+        if len(zeros) > 2:
+            zeros, index = np.unique(zeros, return_inverse=True)
+        at_zeros = _weigh(self.basis.hat_values(zeros, order), b).T.tolist()
+
+        rows = iter(index)
+        for (i, theta, th0, th1, double, lam_i, at_i), uses in zip(points, uses_th1):
+            at_th0 = at_zeros[next(rows)]
+            at_th1 = at_zeros[next(rows)][0] if uses else None
+            values[i], labels[i] = self._near_value(
+                theta, alpha, th0, th1, double, at_i, lam_i, at_th0, at_th1
             )
-        if theta_hits_pole or confluent:
-            other = th1 if theta_hits_pole else theta
-            nodes = [th0, other]
-            vals = [self.basis.numerator(b, z) for z in nodes]
-            return quadratic_interpolate(
-                nodes,
-                vals,
-                derivative_node=th0,
-                derivative_value=complex(self.basis.numerator(b, th0, order=1)),
-            )
-        nodes = [theta, th0, th1]
-        vals = [self.basis.numerator(b, z) for z in nodes]
-        return quadratic_interpolate(nodes, vals)
+        self.branch_counts.update(labels.tolist())
+        return values, labels
 
-    def _contour_value(self, b, theta, alpha, xs, env):
-        """Full stabilized value: contour around theta and the zeros xs."""
-        rho = self._quadratic(b, theta, env)
+    def _grid_patterns(self, thetas):
+        """basis.hat_values(thetas)[0], kept for the last grid and keyed on
+        its values: the weighted patterns do not depend on alpha."""
+        key = thetas.tobytes()
+        if self._grid[0] != key:
+            self._grid = (key, self.basis.hat_values(thetas)[0])
+        return self._grid[1]
+
+    def _near_value(self, theta, alpha, th0, th1, is_double, at_theta, lam,
+                    at_th0, at_th1):
+        """Value and branch label of a point within big_h of a zero, from
+        the numerator at theta, theta0 and theta0' (at_th0 also holds the
+        derivatives the point needs) and Lambda at theta."""
+        p = self.basis.p
+        big_h, small_h = self.near_threshold, self.cluster_threshold
+        d0, d01 = abs(theta - th0), abs(th0 - th1)
+        if d0 <= _EXACT and is_double:
+            # both Lambda and the numerator vanish doubly at theta0
+            return at_th0[2] / (-(p * p) * math.cos(p * th0)), "lhopital"
+
+        if d0 >= small_h and not (is_double or d01 < small_h):
+            # naive quotient plus explicit corrections
+            value = at_theta / lam - _residue_term(p, at_th0[0], th0, theta)
+            if d01 < big_h:
+                return value - _residue_term(p, at_th1, th1, theta), "residue:two"
+            return value, "residue:single"
+
+        rho = _fit_quadratic(theta, th0, th1, is_double, at_theta, at_th0, at_th1)
+        xs = [th0] if is_double else [th0, th1]
+        if d0 < small_h:
+            if is_double or d01 < small_h:
+                value, _ = self._contour_value(rho, theta, alpha, xs, th1, is_double)
+                return value, "contour:full"
+            value, pulled = self._contour_value(
+                rho, theta, alpha, [th0], th1, is_double
+            )
+            if d01 < big_h and not pulled:
+                value -= _residue_term(p, at_th1, th1, theta)
+            return value, "contour:full"
+
+        # moderate distance from a clustered pair or a double zero
+        contour = rect_contour(xs, small_h)
+        if contour.contains(complex(theta)) or contour.horizontal_gap(
+            theta
+        ) < 0.5 * small_h:
+            value, _ = self._contour_value(rho, theta, alpha, xs, th1, is_double)
+            return value, "contour:full"
+        correction = contour_eval(rho, theta, alpha, p, contour, self.contour_order)
+        return at_theta / lam - complex(correction), "contour:pair"
+
+    def _contour_value(self, rho, theta, alpha, xs, th1, is_double):
+        """Contour integral around theta and the zeros xs; an excluded
+        zero th1 drifting onto the contour gets pulled inside.  Returns the
+        value and whether th1 was pulled in."""
         contour = rect_contour([theta] + xs, self.cluster_threshold)
-        # an excluded zero drifting onto the contour gets pulled inside
-        extra = []
-        if env.theta0_prime not in xs and not env.is_double:
-            gap = contour.horizontal_gap(env.theta0_prime)
-            inside = contour.contains(complex(env.theta0_prime))
-            if inside or gap < 0.5 * self.cluster_threshold:
-                extra = [env.theta0_prime]
-                contour = rect_contour([theta] + xs + extra, self.cluster_threshold)
+        pulled = False
+        if th1 not in xs and not is_double:
+            gap = contour.horizontal_gap(th1)
+            if contour.contains(complex(th1)) or gap < 0.5 * self.cluster_threshold:
+                pulled = True
+                contour = rect_contour(
+                    [theta] + xs + [th1], self.cluster_threshold
+                )
         value = contour_eval(
             rho, theta, alpha, self.basis.p, contour, self.contour_order
         )
-        return complex(value), extra
-
-    def _dispatch(self, theta, alpha, b):
-        p = self.basis.p
-        env = pole_environment(theta, alpha, p)
-        th0, th1 = env.theta0, env.theta0_prime
-        d0 = abs(theta - th0)
-        d01 = abs(th0 - th1)
-        big_h, small_h = self.near_threshold, self.cluster_threshold
-
-        if d0 >= big_h:
-            return naive_eval(self.basis, b, theta, alpha), "naive"
-
-        if d0 <= _EXACT and env.is_double:
-            # both Lambda and the numerator vanish doubly at theta0
-            second = complex(self.basis.numerator(b, th0, order=2))
-            return second / (-(p * p) * math.cos(p * th0)), "lhopital"
-
-        if d0 < small_h:
-            if env.is_double or d01 < small_h:
-                xs = [th0] if env.is_double else [th0, th1]
-                value, _ = self._contour_value(b, theta, alpha, xs, env)
-                return value, "contour:full"
-            value, pulled = self._contour_value(b, theta, alpha, [th0], env)
-            if d01 < big_h and not pulled:
-                value -= _residue_term(self.basis, b, th1, theta)
-            return value, "contour:full"
-
-        # moderate distance: naive plus explicit corrections
-        if env.is_double or d01 < small_h:
-            xs = [th0] if env.is_double else [th0, th1]
-            contour = rect_contour(xs, small_h)
-            if contour.contains(complex(theta)) or contour.horizontal_gap(
-                theta
-            ) < 0.5 * small_h:
-                value, _ = self._contour_value(b, theta, alpha, xs, env)
-                return value, "contour:full"
-            rho = self._quadratic(b, theta, env)
-            correction = contour_eval(
-                rho, theta, alpha, p, contour, self.contour_order
-            )
-            value = naive_eval(self.basis, b, theta, alpha) - complex(correction)
-            return value, "contour:pair"
-        if d01 < big_h:
-            value = residue_eval(self.basis, b, theta, alpha, [th0, th1])
-            return value, "residue:two"
-        return residue_eval(self.basis, b, theta, alpha, [th0]), "residue:single"
+        return complex(value), pulled

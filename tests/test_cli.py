@@ -123,6 +123,16 @@ def test_validate_rejects_bad_configs():
         {"elements_per_wavelength": 1.0},
         {"grading": 1.5},
         {"grading_layers": -1},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"delta": float("nan")},
+        {"delta": float("inf")},
+        {"k": float("nan")},
+        {"big_h": float("inf")},
+        {"small_h": float("nan")},
+        {"grading": float("nan")},
+        {"elements_per_wavelength": float("nan")},
+        {"elements_per_wavelength": float("inf")},
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
@@ -257,6 +267,11 @@ def test_invalid_strategy_flag_is_rejected(capsys):
     # a config file takes the looser spelling path and must hit the validator
     assert main(["sweep", "--strategy", "one", "--delta", "-1"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_flag_is_config_error(capsys):
+    assert main(["sweep", "--alpha", "nan"]) == EXIT_CONFIG
+    assert "alpha must be finite" in capsys.readouterr().err
 
 
 def test_geometry_file_round_trip(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedfar.cli import ExperimentConfig, build_pipeline
 from embedfar.coefficients import (
     ZeroColumnEncountered,
     build_system,
@@ -199,6 +200,17 @@ def test_greedy_subset_prefers_lowest_index_on_ties():
     a = np.stack([col, col, 0.1 * col], axis=1)
     picked = column_subset(a, 1)
     assert picked.tolist() == [0]
+
+
+def test_greedy_subset_is_stable_under_ulp_ties():
+    # the square's canonical set is symmetric, so half of the greedy steps
+    # compare exactly tied column norms; rounding must not pick among them
+    matrix = build_pipeline(ExperimentConfig(shape="square", k=5.0)).matrix.matrix
+    expected = [0, 6, 3, 9, 1, 7, 2, 8]
+    assert column_subset(matrix, 8).tolist() == expected
+    nudged = matrix.copy()
+    nudged[:, 6] *= 1.0 + 2.0**-52
+    assert column_subset(nudged, 8).tolist() == expected
 
 
 def test_greedy_subset_errors():

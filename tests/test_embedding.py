@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedfar.embedding import (
+    _CONFLUENT,
+    _EXACT,
+    DEFAULT_CLUSTER_THRESHOLD,
+    DEFAULT_NEAR_THRESHOLD,
     DoublePoleInSimpleBranch,
     EmbeddingBasis,
     PoleAtTheta,
@@ -27,6 +33,8 @@ from helpers import (
     exact_coefficients,
     random_trig,
     rank_one_family,
+    scalar_dispatch,
+    scalar_sweep,
     true_value,
 )
 
@@ -402,3 +410,141 @@ def test_sweep_follows_in_place_edits_of_thetas():
     edited, _ = evaluator.evaluate_sweep(thetas, 0.9)
     fresh, _ = evaluator.evaluate_sweep(thetas.copy(), 0.9)
     assert np.array_equal(edited, fresh)
+
+
+def _noisy_evaluator(p, seed, fields_type=TrigFarFields):
+    """Evaluator of a rank-one family whose canonical patterns carry 1e-3
+    noise, so that the numerator does not vanish at the zeros and every
+    residue and contour correction counts."""
+    rng = np.random.default_rng(seed)
+    T, angles, fields = rank_one_family(p, rng)
+    noisy = fields_type(f.plus(random_trig(rng, degree=3), 1e-3) for f in fields)
+    basis = EmbeddingBasis(p=p, angles=angles, far_fields=noisy)
+    return StabilizedEvaluator(
+        basis=basis,
+        coefficient_supplier=lambda a: exact_coefficients(T, angles, p, a),
+    )
+
+
+def _assert_matches_oracle(evaluator, thetas, alpha):
+    """evaluate_sweep and evaluate against the scalar dispatcher: equal
+    labels, values within 1e-12 of the sweep's largest value."""
+    try:
+        expected, expected_labels = scalar_sweep(evaluator, thetas, alpha)
+    except Exception as exc:  # the array code must fail the same way
+        with pytest.raises(type(exc)):
+            evaluator.evaluate_sweep(thetas, alpha)
+        return
+    scale = float(np.max(np.abs(expected)))
+    values, labels = evaluator.evaluate_sweep(thetas, alpha)
+    assert labels.tolist() == expected_labels.tolist()
+    assert float(np.max(np.abs(values - expected))) <= 1e-12 * scale
+    for theta, want, want_label in zip(thetas, expected, expected_labels):
+        value, label = evaluator.evaluate_with_branch(theta, alpha)
+        assert label == want_label
+        assert abs(value - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_dispatcher_matches_scalar_oracle(p):
+    evaluator = _noisy_evaluator(p, seed=40 + p)
+    rng = np.random.default_rng(p)
+    offsets = np.array([0.0, 1e-14, 1e-8, 2e-5, 0.005, 0.012, 0.03, 0.1, 0.2])
+    alphas = [float(rng.uniform(0.0, TWO_PI)), math.pi / p, math.pi / p + 3e-6,
+              math.pi / p + 0.004, math.pi / p + 0.05]
+    for alpha in alphas:
+        zeros = pole_set(alpha, p)
+        thetas = np.concatenate(
+            [
+                np.linspace(0.0, TWO_PI, 60, endpoint=False),
+                (zeros[:, None] + offsets).ravel(),
+                (zeros[:, None] - offsets[1:]).ravel(),
+            ]
+        )
+        _assert_matches_oracle(evaluator, thetas, alpha)
+
+
+_EVALUATORS = {p: _noisy_evaluator(p, seed=60 + p) for p in (2, 3, 5)}
+_GATES = (
+    DEFAULT_NEAR_THRESHOLD,
+    DEFAULT_CLUSTER_THRESHOLD,
+    _CONFLUENT,
+    _EXACT,
+    0.0,
+)
+
+
+def _nudge(x, ulps):
+    direction = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, direction)
+    return x
+
+
+@settings(max_examples=150)
+@given(
+    p=st.sampled_from(sorted(_EVALUATORS)),
+    n=st.integers(0, 9),
+    pair_gap=st.sampled_from((None, 0.0) + _GATES[:3]),
+    alpha_ulps=st.integers(-3, 3),
+    generic_alpha=st.floats(0.0, TWO_PI),
+    zero=st.integers(0, 9),
+    gate=st.sampled_from(_GATES),
+    side=st.sampled_from((-1.0, 1.0)),
+    ulps=st.integers(-3, 3),
+)
+def test_dispatcher_matches_oracle_at_branch_boundaries(
+    p, n, pair_gap, alpha_ulps, generic_alpha, zero, gate, side, ulps
+):
+    # alpha at a coalescence point n pi/p, or half a gate away from one so
+    # that the two zeros there sit a gate apart; theta a gate away from a
+    # zero; both a few ulps either side
+    if pair_gap is None:
+        alpha = generic_alpha
+    else:
+        alpha = _nudge((n % p) * math.pi / p + 0.5 * pair_gap, alpha_ulps)
+    zeros = pole_set(alpha, p)
+    theta = _nudge(float(zeros[zero % len(zeros)]) + side * gate, ulps)
+    thetas = np.concatenate([[theta], np.linspace(0.0, TWO_PI, 16, endpoint=False)])
+    _assert_matches_oracle(_EVALUATORS[p], thetas, alpha)
+
+
+def test_far_field_calls_per_sweep():
+    p = 3
+    sizes = []
+
+    class Counting(TrigFarFields):
+        def value(self, theta, order=0):
+            sizes.append(np.size(theta))
+            return super().value(theta, order)
+
+    evaluator = _noisy_evaluator(p, seed=45, fields_type=Counting)
+    grid = np.linspace(0.0, TWO_PI, 120, endpoint=False)
+    alphas = [0.3, math.pi / p, math.pi / p + 1e-6, 1.7, 2.0 * math.pi / p]
+    per_sweep = []
+    for alpha in alphas:
+        sizes.clear()
+        evaluator.evaluate_sweep(grid.copy(), alpha)  # equal content, new array
+        per_sweep.append(list(sizes))
+    grid_calls = [n for calls in per_sweep for n in calls if n == len(grid)]
+    assert len(grid_calls) == 1
+    for calls in per_sweep:
+        further = [n for n in calls if n != len(grid)]
+        # one call per derivative order on the zeros the near points use;
+        # a zero near theta = 0 = 2 pi can enter through two
+        # representatives 2 pi apart
+        assert 1 <= len(further) <= 3
+        assert max(further) <= 2 * p + 2
+
+    edited = grid.copy()
+    edited += 0.01
+    sizes.clear()
+    evaluator.evaluate_sweep(edited, alphas[0])
+    assert sizes.count(len(grid)) == 1
+
+    # point queries leave the kept grid alone
+    evaluator.evaluate(0.5, alphas[0])
+    evaluator.evaluate_with_branch(float(edited[3]), alphas[1])
+    sizes.clear()
+    evaluator.evaluate_sweep(edited.copy(), alphas[2])
+    assert sizes.count(len(grid)) == 0
