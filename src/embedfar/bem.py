@@ -147,21 +147,30 @@ def build_mesh(
     return mesh
 
 
-def _log_integral(target, start, tangent, length):
-    """Closed form of integral of ln|target - y| ds(y) over one element."""
-    rel = target - start
-    t0 = float(rel @ tangent)
-    d2 = max(float(rel @ rel) - t0 * t0, 0.0)
-    d = math.sqrt(d2)
+def _log_integrals(targets, starts, tangents, lengths):
+    """Closed form of integral of ln|target - y| ds(y), one target per
+    element, for arrays of (target, element) pairs."""
+    rel = targets - starts
+    t0 = np.einsum("ij,ij->i", rel, tangents)
+    # distance to the element's line from the cross product: rel.rel - t0^2
+    # cancels to rounding noise for targets on a slanted line
+    d = np.abs(rel[:, 0] * tangents[:, 1] - rel[:, 1] * tangents[:, 0])
+    on_line = d < 1e-14 * lengths
 
     def antiderivative(s):
-        if d < 1e-14 * length:
-            if s == 0.0:
-                return 0.0
-            return s * math.log(abs(s)) - s
-        return 0.5 * (s * math.log(s * s + d2) - 2.0 * s) + d * math.atan2(s, d)
+        out = np.zeros_like(s)
+        line = on_line & (s != 0.0)
+        sl = s[line]
+        out[line] = sl * np.log(np.abs(sl)) - sl
+        off = ~on_line
+        so, do = s[off], d[off]
+        out[off] = (
+            0.5 * (so * np.log(so * so + do * do) - 2.0 * so)
+            + do * np.arctan2(so, do)
+        )
+        return out
 
-    return antiderivative(length - t0) - antiderivative(-t0)
+    return antiderivative(lengths - t0) - antiderivative(-t0)
 
 
 def _smooth_kernel_part(k, r):
@@ -173,13 +182,6 @@ def _smooth_kernel_part(k, r):
         out[~tiny] = 0.25j * hankel1(0, k * rs) + np.log(rs) / (2.0 * np.pi)
     out[tiny] = 0.25j - (math.log(0.5 * k) + EULER_GAMMA) / (2.0 * np.pi)
     return out
-
-
-def _split_entry(k, target, start, tangent, length, nodes, weights):
-    """Kernel integral with the log singularity handled analytically."""
-    r = np.linalg.norm(target[None, :] - nodes, axis=1)
-    smooth = np.sum(weights * _smooth_kernel_part(k, r))
-    return smooth - _log_integral(target, start, tangent, length) / (2.0 * np.pi)
 
 
 @dataclass
@@ -266,7 +268,8 @@ def assemble(mesh, k):
             hi - lo, n, order_far
         ).sum(axis=2)
 
-    # redo near and self entries with the log part integrated analytically
+    # redo near and self entries in one batched pass over all pairs, with
+    # the log part integrated analytically
     near_x, near_w = gauss_legendre(_NEAR_QUAD_ORDER)
     near_params = 0.5 * (near_x + 1.0)
     rel = targets[:, None, :] - mesh.starts[None, :, :]
@@ -274,21 +277,24 @@ def assemble(mesh, k):
     clamped = np.clip(along, 0.0, mesh.lengths[None, :])
     closest = mesh.starts[None, :, :] + clamped[:, :, None] * mesh.tangents[None, :, :]
     seg_dist = np.linalg.norm(targets[:, None, :] - closest, axis=2)
-    near_pairs = np.argwhere(seg_dist < mesh.lengths[None, :])
-    for i, j in near_pairs:
-        nodes = mesh.starts[j] + near_params[:, None] * (mesh.ends[j] - mesh.starts[j])
-        weights = 0.5 * near_w * mesh.lengths[j]
-        matrix[i, j] = _split_entry(
-            k, targets[i], mesh.starts[j], mesh.tangents[j], mesh.lengths[j],
-            nodes, weights,
-        )
+    near_i, near_j = np.nonzero(seg_dist < mesh.lengths[None, :])
+    starts = mesh.starts[near_j]
+    lengths = mesh.lengths[near_j]
+    nodes = starts[:, None, :] + near_params[None, :, None] * (
+        mesh.ends[near_j] - starts
+    )[:, None, :]
+    r = np.linalg.norm(targets[near_i, None, :] - nodes, axis=2)
+    weights = 0.5 * near_w[None, :] * lengths[:, None]
+    smooth = np.sum(weights * _smooth_kernel_part(k, r), axis=1)
+    log_part = _log_integrals(targets[near_i], starts, mesh.tangents[near_j], lengths)
+    matrix[near_i, near_j] = smooth - log_part / (2.0 * np.pi)
 
     lu, piv = lu_factor(matrix)
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * diag.max():
         raise SingularSystem("vanishing pivot in LU factorization")
     logger.debug("assembled %d x %d system (far order %d, %d near pairs)",
-                 n, n, order_far, len(near_pairs))
+                 n, n, order_far, len(near_i))
     return BemSystem(
         mesh=mesh, k=k, matrix=matrix, lu=(lu, piv),
         ff_nodes=src_nodes, ff_weights=src_weights,

@@ -247,6 +247,13 @@ def load_shape(config):
 def build_pipeline(config, shape=None, elements_per_wavelength=None,
                    canonical=None):
     shape = load_shape(config) if shape is None else shape
+    if canonical is None:
+        mtilde = config.mtilde or default_oversampling(shape.m)
+        if mtilde < shape.m:
+            raise ConfigError(
+                f"mtilde {mtilde} is below the coefficient count M = {shape.m}"
+            )
+        canonical = canonical_angles(mtilde)
     epw = (
         config.elements_per_wavelength
         if elements_per_wavelength is None
@@ -259,9 +266,6 @@ def build_pipeline(config, shape=None, elements_per_wavelength=None,
         grading_ratio=config.grading,
         corner_layers=config.grading_layers,
     )
-    if canonical is None:
-        mtilde = config.mtilde or default_oversampling(shape.m)
-        canonical = canonical_angles(mtilde)
     far_fields = system.solve_far_fields(canonical)
     matrix = build_coefficient_system(canonical, far_fields, shape.p, shape.m)
     basis = EmbeddingBasis(p=shape.p, angles=canonical, far_fields=far_fields)
@@ -637,7 +641,13 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
                 ref = reference_system(base)
                 reference = ref.solve_far_fields(test_alphas).value(thetas)
             e_in = input_error(base, ref)
-            cond = base.matrix.condition_number
+            # below np.linalg.matrix_rank's tolerance the set is rank
+            # deficient and any finite cond(A) is rounding noise
+            sigma = base.matrix.svd().sigma
+            if sigma[-1] <= len(angles) * np.finfo(float).eps * sigma[0]:
+                cond = math.inf
+            else:
+                cond = base.matrix.condition_number
             for strategy, delta in trials:
                 try:
                     e_out, bnorm = _trial_error(

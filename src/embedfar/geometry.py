@@ -305,10 +305,14 @@ def load_geometry_file(path):
         if not line or line.startswith("#"):
             continue
         if line.startswith("kind"):
+            if kind is not None:
+                raise ValueError(f"{path}:{lineno}: second 'kind' line")
             _, _, value = line.partition("=")
             kind = value.strip()
             continue
         parts = line.split()
+        if kind is None:
+            raise ValueError(f"{path}:{lineno}: missing 'kind' line before {raw!r}")
         if parts[0] != "vertex" or len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'vertex x y', got {raw!r}")
         try:

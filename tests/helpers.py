@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from embedfar.bem import _NEAR_QUAD_ORDER, _smooth_kernel_part
 from embedfar.embedding import (
     _CONFLUENT,
     _EXACT,
@@ -22,7 +23,11 @@ from embedfar.embedding import (
     pole_environment,
     rect_contour,
 )
-from embedfar.specialfun import QuadraticInterpolant, quadratic_interpolate
+from embedfar.specialfun import (
+    QuadraticInterpolant,
+    gauss_legendre,
+    quadratic_interpolate,
+)
 
 
 class TrigFarField:
@@ -237,3 +242,52 @@ def scalar_sweep(evaluator, thetas, alpha):
     values = np.array([complex(v) for v, _ in pairs])
     labels = np.array([label for _, label in pairs], dtype=object)
     return values, labels
+
+
+# The per-pair near-field entry: one target, one element, one Gauss rule on
+# the smooth part of the kernel and the closed-form log integral in Python
+# floats.  It is the oracle the batched assembly in bem.assemble must
+# reproduce.
+
+
+def near_pair_mask(mesh):
+    """(n, n) mask of the pairs whose target lies within one element length
+    of the element."""
+    mask = np.zeros((len(mesh), len(mesh)), dtype=bool)
+    for j in range(len(mesh)):
+        rel = mesh.midpoints - mesh.starts[j]
+        along = np.clip(rel @ mesh.tangents[j], 0.0, mesh.lengths[j])
+        closest = mesh.starts[j] + along[:, None] * mesh.tangents[j]
+        dist = np.linalg.norm(mesh.midpoints - closest, axis=1)
+        mask[:, j] = dist < mesh.lengths[j]
+    return mask
+
+
+def _scalar_log_integral(target, start, tangent, length):
+    rel = target - start
+    t0 = float(rel @ tangent)
+    # the distance to the element's line from the cross product
+    d = abs(float(rel[0] * tangent[1] - rel[1] * tangent[0]))
+
+    def antiderivative(s):
+        if d < 1e-14 * length:
+            if s == 0.0:
+                return 0.0
+            return s * math.log(abs(s)) - s
+        return 0.5 * (s * math.log(s * s + d * d) - 2.0 * s) + d * math.atan2(s, d)
+
+    return antiderivative(length - t0) - antiderivative(-t0)
+
+
+def split_entry(mesh, k, i, j):
+    """Collocation entry (i/4) int H0(k |x_i - y|) ds(y) over element j,
+    with the log singularity integrated analytically."""
+    x, w = gauss_legendre(_NEAR_QUAD_ORDER)
+    start, length = mesh.starts[j], mesh.lengths[j]
+    nodes = start + 0.5 * (x + 1.0)[:, None] * (mesh.ends[j] - start)
+    r = np.linalg.norm(mesh.midpoints[i] - nodes, axis=1)
+    smooth = np.sum(0.5 * w * length * _smooth_kernel_part(k, r))
+    log_part = _scalar_log_integral(
+        mesh.midpoints[i], start, mesh.tangents[j], length
+    )
+    return smooth - log_part / (2.0 * np.pi)

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import embedfar.bem as bem
 from embedfar.bem import (
+    assemble,
     build_mesh,
     build_system,
     hankel1,
 )
 from embedfar.embedding import lambda_weight
-from embedfar.geometry import preset_shape
+from embedfar.geometry import PRESET_NAMES, preset_shape
+from helpers import near_pair_mask, split_entry
 
 
 def test_mesh_covers_boundary():
@@ -74,6 +77,49 @@ def test_screen_mesh_grades_both_endpoints():
     smallest = mesh.midpoints[order[:2]]
     dist = np.linalg.norm(np.sort(smallest, axis=0) - ends, axis=1)
     assert float(np.max(dist)) < 1e-3
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_near_entries_match_per_pair_oracle(name):
+    mesh = build_mesh(preset_shape(name), 10.0)
+    matrix = assemble(mesh, 10.0).matrix
+    scale = np.max(np.abs(matrix))
+    rows, cols = np.nonzero(near_pair_mask(mesh))
+    # every self entry, its neighbours, and the pairs across each corner
+    assert len(rows) > 3 * len(mesh)
+    oracle = np.array([split_entry(mesh, 10.0, i, j) for i, j in zip(rows, cols)])
+    assert np.max(np.abs(matrix[rows, cols] - oracle)) <= 1e-14 * scale
+
+
+def test_assembly_batches_near_pairs(monkeypatch):
+    calls = []
+
+    def counted(order, x):
+        calls.append(np.size(x))
+        return hankel1(order, x)
+
+    monkeypatch.setattr(bem, "hankel1", counted)
+    for name in ("square", "pentagon"):
+        calls.clear()
+        system = assemble(build_mesh(preset_shape(name), 10.0), 10.0)
+        n, q = system.ff_weights.shape
+        far_chunks = math.ceil(n / max(1, bem._ASSEMBLY_CHUNK // (n * q)))
+        # the far part's chunks plus one call for every near pair at once
+        assert len(calls) <= far_chunks + 1
+
+
+@pytest.mark.parametrize("name", ["equilateral", "pentagon"])
+def test_collocation_matrix_is_rotation_invariant(name):
+    # rotating a regular polygon by one edge maps each element onto the
+    # next edge's element, so the matrix is invariant under that shift
+    shape = preset_shape(name)
+    mesh = build_mesh(shape, 10.0)
+    n_edges = len(shape.edges)
+    assert len(mesh) % n_edges == 0
+    matrix = assemble(mesh, 10.0).matrix
+    shift = np.roll(np.arange(len(mesh)), -(len(mesh) // n_edges))
+    defect = np.max(np.abs(matrix - matrix[shift][:, shift]))
+    assert defect <= 1e-11 * np.max(np.abs(matrix))
 
 
 def test_solver_surface(square_k5):

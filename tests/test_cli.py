@@ -311,6 +311,42 @@ def test_non_rational_geometry_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_misordered_geometry_file_is_config_error(tmp_path, capsys):
+    geom = tmp_path / "late.geom"
+    geom.write_text("vertex 0 0\nkind = screen\nvertex 1 0\n")
+    rc = main(["sweep", "--geometry-file", str(geom)])
+    assert rc == EXIT_CONFIG
+    assert "kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["one", "two"])
+def test_mtilde_below_coefficient_count_is_config_error(strategy, capsys):
+    # the square has M = 8 coefficients, so 4 canonical angles cannot
+    # determine them under either strategy
+    rc = main(
+        ["sweep", "--shape", "square", "--k", "5", "--mtilde", "4",
+         "--strategy", strategy]
+    )
+    assert rc == EXIT_CONFIG
+    assert "mtilde 4 is below the coefficient count M = 8" in capsys.readouterr().err
+
+
+def test_oversampling_study_reports_rank_deficient_sets_as_inf(tmp_path):
+    out = tmp_path / "study.csv"
+    rc = main(
+        ["study-oversampling", "--mtilde-list", "3", "--delta-list", "1e-8",
+         "--out", str(out)]
+    )
+    assert rc == EXIT_OK
+    lines = [line for line in out.read_text().splitlines() if line[:1] != "#"]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    screen = [row["cond"] for row in rows if row["part"] == "screen"]
+    triangle = [float(row["cond"]) for row in rows if row["part"] == "triangle"]
+    assert screen and set(screen) == {"inf"}
+    assert triangle and all(1.0 <= cond < 1e6 for cond in triangle)
+
+
 def test_numerical_failures_exit_3(monkeypatch, capsys):
     def boom(config):
         raise NoConvergence("stalled")

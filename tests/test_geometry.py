@@ -179,5 +179,15 @@ def test_geometry_file_errors(tmp_path):
     with pytest.raises(ValueError, match="kind"):
         load_geometry_file(nokind)
 
+    late = tmp_path / "late.geom"
+    late.write_text("vertex 0 0\nkind = polygon\nvertex 1 0\nvertex 0 1\n")
+    with pytest.raises(ValueError, match="kind"):
+        load_geometry_file(late)
+
+    twice = tmp_path / "twice.geom"
+    twice.write_text("kind = polygon\nvertex 0 0\nvertex 2 0\nkind = screen\n")
+    with pytest.raises(ValueError, match="second 'kind'"):
+        load_geometry_file(twice)
+
     with pytest.raises(FileNotFoundError):
         load_geometry_file(tmp_path / "missing.geom")
