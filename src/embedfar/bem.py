@@ -3,11 +3,13 @@
 First-kind single-layer formulation: the unknown density (normal-derivative
 jump for screens) satisfies S phi = u_inc on the boundary, with kernel
 (i/4) H0^(1)(k |x-y|).  Discretization is piecewise-constant midpoint
-collocation on meshes geometrically graded into every corner.  Far fields are
-evaluated by quadrature on the representation
-    D(theta) = -1/2 * integral exp(-ik (y1 cos theta + y2 sin theta)) phi ds,
-which extends to complex observation angles and differentiates under the
-integral sign.
+collocation on meshes geometrically graded into every corner.  The far field
+    D(theta) = -1/2 * integral exp(-ik (y1 cos theta + y2 sin theta)) phi ds
+is held as its Jacobi-Anger modes about a centre c of the boundary,
+    D(theta) = exp(-ik c.d(theta)) * sum_{|n| <= N} c_n exp(i n theta),
+with d(theta) = (cos theta, sin theta); the modes come straight from the
+boundary quadrature, and the form extends to complex observation angles and
+differentiates exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import zgemm
 
 from .specialfun import EULER_GAMMA, gauss_legendre, hankel1
 
@@ -30,9 +33,11 @@ DEFAULT_CORNER_LAYERS = 8
 
 # even order so no quadrature node can land on the collocation point
 _NEAR_QUAD_ORDER = 16
-# chunk sizes keep dense intermediate arrays below ~100 MB
+# chunk size keeps dense intermediate arrays below ~100 MB
 _ASSEMBLY_CHUNK = 4_000_000
-_FARFIELD_CHUNK = 4_000_000
+# far-field modes past N stay below this fraction of the largest, N >= kR
+_MODE_TAIL = 2.0**-53 / 100.0
+_POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 class EmptyMesh(ValueError):
@@ -184,9 +189,65 @@ def _smooth_kernel_part(k, r):
     return out
 
 
+def _mode_degree(kr):
+    """Smallest n >= kr with (kr/2)^n / n! <= _MODE_TAIL.
+
+    |J_n(x)| <= (x/2)^n / n! for 0 <= x <= kr, so every far-field mode past
+    this degree is below rounding relative to the largest; the degree
+    depends on k and the radius alone, never on the data."""
+    n = max(1, math.ceil(kr))
+    while n * math.log(0.5 * kr) - math.lgamma(n + 1) > math.log(_MODE_TAIL):
+        n += 1
+    return n
+
+
+def _bessel_j(x, degree):
+    """J_0(x) .. J_degree(x) at the points x >= 0, shape (degree + 1, len(x)).
+
+    Miller's backward recurrence on the ratios J_n / J_{n-1}, started at
+    the degree (J past _mode_degree is below rounding), then normalized by
+    J_0 + 2 (J_2 + J_4 + ...) = 1.  In ratio form nothing overflows.
+    """
+    ratios = np.empty((degree, len(x)))
+    ratio = np.zeros(len(x))
+    for n in range(degree, 0, -1):
+        ratio = x / (2.0 * n - x * ratio)
+        ratios[n - 1] = ratio
+    scaled = np.cumprod(ratios, axis=0)  # J_n / J_0 for n = 1..degree
+    out = np.empty((degree + 1, len(x)))
+    out[0] = 1.0 / (1.0 + 2.0 * np.sum(scaled[1::2], axis=0))
+    out[1:] = out[0] * scaled
+    return out
+
+
+def _mode_transform(nodes, k):
+    """Centre c of the nodes' bounding box and the (N + 1, q) matrix
+    J_n(k r_j) exp(i n phi_j), n = 0..N, with (r_j, phi_j) the polar
+    coordinates of node j about c and N = _mode_degree(k max r)."""
+    centre = 0.5 * (np.min(nodes, axis=0) + np.max(nodes, axis=0))
+    rel = nodes - centre
+    r = np.hypot(rel[:, 0], rel[:, 1])
+    degree = _mode_degree(k * float(np.max(r)))
+    turns = np.empty((degree + 1, len(nodes)), dtype=np.complex128)
+    turns[0] = 1.0
+    turns[1:] = np.exp(1j * np.arctan2(rel[:, 1], rel[:, 0]))
+    np.cumprod(turns, axis=0, out=turns)
+    return centre, _bessel_j(k * r, degree) * turns
+
+
 @dataclass
 class BemSystem:
-    """Assembled and factorized collocation system for one (shape, k)."""
+    """Assembled and factorized collocation system for one (shape, k).
+
+    Solves see the far-field quadrature only through ff_weights, ff_centre
+    and ff_transform (see _mode_transform), from which every solve's
+    far-field modes are two products; ff_nodes keeps the nodes themselves.
+    The refinement products and the mode products run through scipy's
+    BLAS, the library behind lu_solve: numpy and scipy may link different
+    OpenBLAS builds, and each switch between the two on a threaded-size
+    operand costs milliseconds while the idle library's threads still
+    spin.
+    """
 
     mesh: Mesh
     k: float
@@ -194,6 +255,8 @@ class BemSystem:
     lu: tuple
     ff_nodes: np.ndarray  # (n_elements, q, 2) far-field quadrature points
     ff_weights: np.ndarray  # (n_elements, q)
+    ff_centre: np.ndarray  # (2,) expansion centre of the far-field modes
+    ff_transform: np.ndarray  # (N + 1, n_elements * q)
 
     def incident(self, alphas, points=None):
         """Plane-wave trace exp(-ik(x1 cos a + x2 sin a)) at collocation
@@ -216,14 +279,18 @@ class BemSystem:
         scalar = np.ndim(alphas) == 0
         rhs = self.incident(alphas)
         density = lu_solve(self.lu, rhs)
-        density += lu_solve(self.lu, rhs - self.matrix @ density)
-        residual = np.max(np.abs(self.matrix @ density - rhs))
+        density += lu_solve(self.lu, self._residual(density, rhs))
+        residual = np.max(np.abs(self._residual(density, rhs)))
         bound = 1e-10 * np.max(np.abs(rhs))
         if residual > bound:
             raise SingularSystem(
                 f"collocation residual {residual:.2e} exceeds {bound:.2e}"
             )
         return density[:, 0] if scalar else density
+
+    def _residual(self, density, rhs):
+        """rhs - matrix @ density; matrix.T is the Fortran-ordered view."""
+        return zgemm(-1.0, self.matrix.T, density, beta=1.0, c=rhs, trans_a=1)
 
     def solve_far_fields(self, alphas):
         """Stacked FarField of the solves for the given incident angles;
@@ -232,10 +299,16 @@ class BemSystem:
         n_elements, q = self.ff_weights.shape
         densities = self.solve_density(alphas)
         wphi = self.ff_weights[:, :, None] * densities[:, None, :]
+        wphi = wphi.reshape(n_elements * q, len(alphas))
+        # c_n and c_-n, n >= 0: -1/2 (-i)^n sum_j J_n(k r_j) e^{-+i n phi_j} wphi_j
+        transform = self.ff_transform.T  # Fortran-ordered view
+        scale = -0.5 * _POWERS_OF_MINUS_I[np.arange(len(self.ff_transform)) % 4]
+        positive = scale[:, None] * zgemm(1.0, transform, wphi, trans_a=2)
+        negative = scale[1:, None] * zgemm(1.0, transform, wphi, trans_a=1)[1:]
         return FarField(
             k=self.k,
-            nodes=self.ff_nodes.reshape(-1, 2),
-            weighted_density=wphi.reshape(n_elements * q, len(alphas)),
+            centre=self.ff_centre,
+            modes=np.concatenate([negative[::-1], positive]),
         )
 
 
@@ -295,9 +368,11 @@ def assemble(mesh, k):
         raise SingularSystem("vanishing pivot in LU factorization")
     logger.debug("assembled %d x %d system (far order %d, %d near pairs)",
                  n, n, order_far, len(near_i))
+    centre, transform = _mode_transform(flat_nodes, k)
     return BemSystem(
         mesh=mesh, k=k, matrix=matrix, lu=(lu, piv),
         ff_nodes=src_nodes, ff_weights=src_weights,
+        ff_centre=centre, ff_transform=transform,
     )
 
 
@@ -310,51 +385,58 @@ def build_system(shape, k, **mesh_options):
 class FarField:
     """Far-field patterns of one or more scattering solves.
 
-    weighted_density holds quadrature weight times density, (m,) for one
-    solve or (m, n) for n solves sharing the nodes.  value() accepts real
-    or complex observation angles and returns shape(theta), plus (n,) for
-    stacked solves; the pattern is entire in theta, and derivatives are
-    taken under the integral sign.  len(), [j] and iteration give the
-    stacked solves one at a time.
+    modes holds the Jacobi-Anger coefficients c_-N..c_N about centre, (2N+1,)
+    for one solve or (2N+1, n) for n solves sharing the quadrature, and
+    numbers the mode numbers -N..N.  value()
+    accepts real or complex observation angles and returns shape(theta),
+    plus (n,) for stacked solves, as (e^{in theta} P(theta) mult) @ modes,
+    with P the centre's phase and mult the exact derivative multiplier.
+    len(), [j] and iteration give the stacked solves one at a time, each a
+    view of the shared modes.
     """
 
     k: float
-    nodes: np.ndarray  # (m, 2)
-    weighted_density: np.ndarray  # (m,) or (m, n)
+    centre: np.ndarray  # (2,)
+    modes: np.ndarray  # (2N+1,) or (2N+1, n)
+    numbers: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.numbers = np.arange(len(self.modes)) - self.degree
+
+    @property
+    def degree(self):
+        """The mode cut N."""
+        return (len(self.modes) - 1) // 2
+
+    @property
+    def nodes(self):
+        """The terms each observation angle costs, one per mode (the work
+        count the per-layer trace in perfbench/layers.py reads)."""
+        return self.numbers
 
     def __len__(self):
-        if self.weighted_density.ndim != 2:
+        if self.modes.ndim != 2:
             raise TypeError("a single far field has no length")
-        return self.weighted_density.shape[1]
+        return self.modes.shape[1]
 
     def __getitem__(self, j):
-        if self.weighted_density.ndim != 2:
+        if self.modes.ndim != 2:
             raise TypeError("a single far field cannot be indexed")
-        return FarField(self.k, self.nodes, self.weighted_density[:, j])
+        return FarField(self.k, self.centre, self.modes[:, j])
 
     def value(self, theta, order=0):
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
         theta = np.asarray(theta)
-        flat = theta.ravel()
-        columns = self.weighted_density.shape[1:]
-        out = np.empty(flat.shape + columns, dtype=np.complex128)
-        chunk = max(1, _FARFIELD_CHUNK // len(self.nodes))
-        y1, y2 = self.nodes[:, 0], self.nodes[:, 1]
-        for lo in range(0, len(flat), chunk):
-            t = flat[lo : lo + chunk, None]
-            f = -1j * self.k * (y1[None, :] * np.cos(t) + y2[None, :] * np.sin(t))
-            integrand = np.exp(f)
-            if order:
-                fp = -1j * self.k * (-y1[None, :] * np.sin(t) + y2[None, :] * np.cos(t))
-                integrand *= fp if order == 1 else fp * fp - f
-            out[lo : lo + chunk] = -0.5 * integrand @ self.weighted_density
+        t = theta.reshape(-1, 1)
+        cos, sin = np.cos(t), np.sin(t)
+        (c1, c2), n = self.centre, self.numbers
+        # P(theta) = e^g; g'' = -g, so D' = P (g' + in) and
+        # D'' = P ((g' + in)^2 - g) mode by mode
+        g = -1j * self.k * (c1 * cos + c2 * sin)
+        rows = np.exp(g + 1j * n * t)
+        if order:
+            slope = -1j * self.k * (c2 * cos - c1 * sin) + 1j * n
+            rows *= slope if order == 1 else slope * slope - g
         # [()] turns the 0-d result of a scalar theta into a scalar
-        return out.reshape(theta.shape + columns)[()]
-
-    def scattered_field(self, points):
-        """u_scattered at exterior points: -sum (i/4) H0(k r) w phi."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        r = np.linalg.norm(points[:, None, :] - self.nodes[None, :, :], axis=2)
-        kernel = 0.25j * hankel1(0, self.k * r)
-        return -(kernel @ self.weighted_density)
+        return (rows @ self.modes).reshape(theta.shape + self.modes.shape[1:])[()]

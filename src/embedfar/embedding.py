@@ -401,9 +401,13 @@ class StabilizedEvaluator:
     def evaluate_with_branch(self, theta, alpha):
         """Value and branch label at one (theta, alpha) pair: a one-point
         sweep, which leaves the kept grid alone."""
-        theta = np.array([float(theta)])
-        patterns = self.basis.hat_values(theta)[0]
-        values, labels = self._sweep(theta, float(alpha), patterns)
+        theta, alpha = float(theta), float(alpha)
+        if not (math.isfinite(theta) and math.isfinite(alpha)):
+            raise ValueError(
+                f"angles must be finite: theta={theta!r}, alpha={alpha!r}"
+            )
+        thetas = np.array([theta])
+        values, labels = self._sweep(thetas, alpha, self.basis.hat_values(thetas)[0])
         return values[0], labels[0]
 
     def evaluate_sweep(self, thetas, alpha):
@@ -416,8 +420,14 @@ class StabilizedEvaluator:
         one far-field call per derivative order, and each near point then
         takes its branch from these values.
         """
-        thetas = np.asarray(thetas, dtype=np.float64)
-        return self._sweep(thetas, float(alpha), self._grid_patterns(thetas))
+        thetas, alpha = np.asarray(thetas, dtype=np.float64), float(alpha)
+        if not (math.isfinite(alpha) and np.isfinite(thetas).all()):
+            bad = np.count_nonzero(~np.isfinite(thetas))
+            raise ValueError(
+                f"angles must be finite: alpha={alpha!r}, {bad} non-finite "
+                f"of {thetas.size} theta values"
+            )
+        return self._sweep(thetas, alpha, self._grid_patterns(thetas))
 
     # internal helpers ---------------------------------------------------
 

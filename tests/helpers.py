@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from embedfar.bem import _NEAR_QUAD_ORDER, _smooth_kernel_part
+from embedfar.bem import _NEAR_QUAD_ORDER, _smooth_kernel_part, hankel1
 from embedfar.embedding import (
     _CONFLUENT,
     _EXACT,
@@ -291,3 +291,41 @@ def split_entry(mesh, k, i, j):
         mesh.midpoints[i], start, mesh.tangents[j], length
     )
     return smooth - log_part / (2.0 * np.pi)
+
+
+# The node form of the far field: the boundary quadrature summed at every
+# observation angle, with derivatives taken under the integral sign.  It is
+# the oracle the Jacobi-Anger modes of bem.FarField must reproduce, and it
+# gives the scattered field at points off the far zone.
+
+
+class NodeFarFields:
+    """Far fields of the solves for alphas on a bem.BemSystem, in node form:
+    value(theta, order) has shape shape(theta) + (len(alphas),)."""
+
+    def __init__(self, system, alphas):
+        n_elements, q = system.ff_weights.shape
+        densities = system.solve_density(np.atleast_1d(alphas))
+        wphi = system.ff_weights[:, :, None] * densities[:, None, :]
+        self.k = system.k
+        self.nodes = system.ff_nodes.reshape(-1, 2)
+        self.weighted_density = wphi.reshape(n_elements * q, -1)
+
+    def value(self, theta, order=0):
+        theta = np.asarray(theta)
+        t = theta.reshape(-1, 1)
+        y1, y2 = self.nodes[:, 0], self.nodes[:, 1]
+        f = -1j * self.k * (y1 * np.cos(t) + y2 * np.sin(t))
+        integrand = np.exp(f)
+        if order:
+            fp = -1j * self.k * (-y1 * np.sin(t) + y2 * np.cos(t))
+            integrand *= fp if order == 1 else fp * fp - f
+        out = -0.5 * integrand @ self.weighted_density
+        return out.reshape(theta.shape + out.shape[1:])
+
+    def scattered_field(self, points):
+        """u_scattered at exterior points: -sum (i/4) H0(k r) w phi, shape
+        (len(points), len(alphas))."""
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        r = np.linalg.norm(points[:, None, :] - self.nodes[None, :, :], axis=2)
+        return -(0.25j * hankel1(0, self.k * r)) @ self.weighted_density

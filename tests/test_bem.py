@@ -7,14 +7,23 @@ import pytest
 
 import embedfar.bem as bem
 from embedfar.bem import (
+    MAX_WAVENUMBER,
+    _bessel_j,
+    _mode_degree,
     assemble,
     build_mesh,
     build_system,
     hankel1,
 )
+from embedfar.cli import (
+    ExperimentConfig,
+    build_pipeline,
+    input_error,
+    reference_system,
+)
 from embedfar.embedding import lambda_weight
 from embedfar.geometry import PRESET_NAMES, preset_shape
-from helpers import near_pair_mask, split_entry
+from helpers import NodeFarFields, near_pair_mask, split_entry
 
 
 def test_mesh_covers_boundary():
@@ -180,6 +189,70 @@ def test_far_field_is_entire_in_theta(square_k5):
     assert abs(complex(ff.value(theta + dz)) - taylor) <= 1e-5
 
 
+@pytest.mark.parametrize("k", [5.0, 10.0, MAX_WAVENUMBER])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_far_field_modes_match_node_oracle(name, k):
+    # real angles, and complex ones down to |Im theta| = 0.3, the depth
+    # test_solver_surface reaches; at MAX_WAVENUMBER only down to 0.02,
+    # because the modes' rounding grows like e^{N |Im theta|} there
+    # (README, "Far-field modes")
+    system = build_system(preset_shape(name), k)
+    alphas = np.linspace(0.1, 6.0, 5)
+    fields = system.solve_far_fields(alphas)
+    oracle = NodeFarFields(system, alphas)
+    depths = [0.0, 0.02, -0.02] + ([0.3, -0.3] if k < MAX_WAVENUMBER else [])
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[:, None]
+    thetas = thetas + 1j * np.array(depths)
+    for order in (0, 1, 2):
+        stack = fields.value(thetas, order)
+        want = oracle.value(thetas, order)
+        for d in range(len(depths)):
+            scale = float(np.max(np.abs(want[:, d])))
+            assert float(np.max(np.abs(stack[:, d] - want[:, d]))) <= 1e-13 * scale
+        # a column view reads the shared modes: the same values up to the
+        # rounding of a matrix-vector against a matrix-matrix product
+        scale = float(np.max(np.abs(stack)))
+        for j in range(len(alphas)):
+            column = fields[j].value(thetas, order)
+            assert float(np.max(np.abs(column - stack[..., j]))) <= 2e-15 * scale
+    # the cut depends on k and the mesh alone
+    single = system.solve_far_fields(alphas[2])
+    assert fields.degree == fields[3].degree == single.degree
+    assert fields.degree >= k * float(
+        np.max(np.linalg.norm(system.ff_nodes - fields.centre, axis=-1))
+    )
+
+
+def test_bessel_recurrence_matches_scipy():
+    from scipy.special import jn_zeros, jv
+
+    # up to the largest k r of the presets at MAX_WAVENUMBER, and on the
+    # zeros of J_0 and J_1, where the ratios J_n / J_{n-1} blow up
+    x = np.concatenate(
+        [np.linspace(0.0, 46.0, 4001), jn_zeros(0, 10), jn_zeros(1, 10)]
+    )
+    degree = _mode_degree(46.0)
+    exact = jv(np.arange(degree + 1)[:, None], x[None, :])
+    assert float(np.max(np.abs(_bessel_j(x, degree) - exact))) <= 1e-14
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_optical_theorem_by_parseval(name):
+    # the integral of |D|^2 over theta is 2 pi sum |c_n|^2, and equals
+    # 4 pi Im D(alpha + pi, alpha), the forward direction; the defect of a
+    # discrete solve sits far below its input error, so this is a one-sided
+    # gate on e_in, not an estimate of it
+    pipeline = build_pipeline(
+        ExperimentConfig(shape=name, k=5.0, elements_per_wavelength=8.0)
+    )
+    e_in = input_error(pipeline, reference_system(pipeline))
+    fields, angles = pipeline.far_fields, pipeline.angles
+    energy = 2.0 * math.pi * np.sum(np.abs(fields.modes) ** 2, axis=0)
+    forward = np.diagonal(fields.value(angles + math.pi))
+    defect = np.abs(energy - 4.0 * math.pi * forward.imag) / energy
+    assert float(np.max(defect)) <= e_in
+
+
 def test_boundary_condition_defect_decreases():
     shape = preset_shape("square")
     alpha = 0.7
@@ -188,11 +261,9 @@ def test_boundary_condition_defect_decreases():
     defects = []
     for epw in (4.0, 16.0):
         system = build_system(shape, 5.0, elements_per_wavelength=epw)
-        ff = system.solve_far_fields([alpha])[0]
-        total = ff.scattered_field(probes) + system.incident(
-            [alpha], points=probes
-        )[:, 0]
-        defects.append(float(np.max(np.abs(total))))
+        scattered = NodeFarFields(system, alpha).scattered_field(probes)
+        total = scattered + system.incident([alpha], points=probes)
+        defects.append(float(np.max(np.abs(total[:, 0]))))
     assert defects[1] < 0.6 * defects[0]
     assert defects[1] < 0.05
 
@@ -201,15 +272,16 @@ def test_far_field_matches_large_radius_field(square_k5):
     # u_s(r, theta) ~ C(k, r) D(theta) for one fixed large radius, so the
     # ratio u_s / D must not depend on theta
     ff = square_k5.solve_far_fields([0.7])[0]
+    near = NodeFarFields(square_k5, 0.7)
     r = 1.0e4
     thetas = np.linspace(0.2, 2.0 * math.pi, 8, endpoint=False)
     points = r * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    us = ff.scattered_field(points)
+    us = near.scattered_field(points)[:, 0]
     ratios = us / ff.value(thetas)
     spread = np.max(np.abs(ratios - np.mean(ratios)))
     assert spread <= 1e-3 * abs(np.mean(ratios))
     # and the amplitude decays like 1/sqrt(r)
-    far = ff.scattered_field(points * 4.0)
+    far = near.scattered_field(points * 4.0)[:, 0]
     decay = np.abs(far / us)
     assert np.allclose(decay, 0.5, atol=1e-3)
 

@@ -412,6 +412,39 @@ def test_sweep_follows_in_place_edits_of_thetas():
     assert np.array_equal(edited, fresh)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluator_rejects_non_finite_angles(bad):
+    # a NaN theta used to come back as NaN labelled naive, and a NaN alpha
+    # as scipy's bare complaint about infs or NaNs
+    rng = np.random.default_rng(38)
+    p = 2
+    T, angles, fields = rank_one_family(p, rng)
+    basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
+    calls = []
+
+    def supplier(alpha):
+        calls.append(alpha)
+        return exact_coefficients(T, angles, p, alpha)
+
+    evaluator = StabilizedEvaluator(basis=basis, coefficient_supplier=supplier)
+    thetas = np.linspace(0.0, TWO_PI, 20, endpoint=False)
+    with_bad = thetas.copy()
+    with_bad[7] = bad
+    attempts = [
+        lambda: evaluator.evaluate(bad, 0.9),
+        lambda: evaluator.evaluate(1.0, bad),
+        lambda: evaluator.evaluate_with_branch(bad, 0.9),
+        lambda: evaluator.evaluate_with_branch(1.0, bad),
+        lambda: evaluator.evaluate_sweep(with_bad, 0.9),
+        lambda: evaluator.evaluate_sweep(thetas, bad),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ValueError, match="angles must be finite"):
+            attempt()
+    assert calls == []
+    assert sum(evaluator.branch_counts.values()) == 0
+
+
 def _noisy_evaluator(p, seed, fields_type=TrigFarFields):
     """Evaluator of a rank-one family whose canonical patterns carry 1e-3
     noise, so that the numerator does not vanish at the zeros and every
