@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError("strategy must be 'one' or 'two' (1 or 2)")
         if self.delta < 0:
             raise ConfigError("delta must be nonnegative")
+        if self.strategy == "one" and self.delta == 0:
+            raise ConfigError("strategy one needs a positive delta")
         if self.mtilde is not None and self.mtilde < 1:
             raise ConfigError("mtilde must be a positive integer")
         if not (0.0 < self.small_h < self.big_h):
@@ -226,11 +228,17 @@ class Pipeline:
     config: ExperimentConfig
     shape: object
     system: object
-    angles: np.ndarray
-    far_fields: object  # stacked bem.FarField, one column per angle
     matrix: object
-    basis: EmbeddingBasis
     evaluator: StabilizedEvaluator
+
+    @property
+    def angles(self):
+        return self.matrix.basis.angles
+
+    @property
+    def far_fields(self):
+        """Stacked bem.FarField, one column per canonical angle."""
+        return self.matrix.basis.far_fields
 
 
 def load_shape(config):
@@ -266,31 +274,32 @@ def build_pipeline(config, shape=None, elements_per_wavelength=None,
         grading_ratio=config.grading,
         corner_layers=config.grading_layers,
     )
-    far_fields = system.solve_far_fields(canonical)
-    matrix = build_coefficient_system(canonical, far_fields, shape.p, shape.m)
-    basis = EmbeddingBasis(p=shape.p, angles=canonical, far_fields=far_fields)
-
-    def supplier(alpha):
-        return coefficients_for(
-            matrix, alpha, strategy=config.strategy, delta=config.delta
-        )
-
-    evaluator = StabilizedEvaluator(
-        basis=basis,
-        coefficient_supplier=supplier,
-        near_threshold=config.big_h,
-        cluster_threshold=config.small_h,
-        contour_order=config.contour_order,
+    basis = EmbeddingBasis(
+        p=shape.p, angles=canonical, far_fields=system.solve_far_fields(canonical)
     )
+    matrix = build_coefficient_system(basis, shape.m)
     return Pipeline(
         config=config,
         shape=shape,
         system=system,
-        angles=canonical,
-        far_fields=far_fields,
         matrix=matrix,
-        basis=basis,
-        evaluator=evaluator,
+        evaluator=make_evaluator(matrix, config),
+    )
+
+
+def make_evaluator(matrix, config):
+    """Stabilized evaluator on the canonical system's basis, with the
+    coefficients of config's strategy and delta."""
+
+    def coefficients(alpha):
+        return coefficients_for(matrix, alpha, config.strategy, config.delta).values
+
+    return StabilizedEvaluator(
+        basis=matrix.basis,
+        coefficients=coefficients,
+        near_threshold=config.big_h,
+        cluster_threshold=config.small_h,
+        contour_order=config.contour_order,
     )
 
 
@@ -366,7 +375,7 @@ def torus_output_error(pipeline, ref_system, n_theta, n_alpha):
 
 def naive_error_curve(pipeline, alpha, thetas, ref_values, scale):
     """Relative naive-formula error, +inf exactly on the poles."""
-    basis = pipeline.basis
+    basis = pipeline.matrix.basis
     b = pipeline.evaluator.coefficients(alpha)
     lam = lambda_weight(thetas, alpha, basis.p)
     numerator = basis.numerator(b, thetas)
@@ -577,26 +586,16 @@ def _screen_angles(mtilde):
     return np.asarray(_SCREEN_BASE_ANGLES + _SCREEN_EXTRA_ANGLES[: mtilde - 2])
 
 
-def _trial_error(matrix, basis, config, strategy, delta, alphas, reference,
-                 thetas):
-    """Output error and coefficient norm for one solve strategy on a
+def _trial_error(matrix, config, alphas, reference, thetas):
+    """Output error and coefficient norm for config's solve strategy on a
     fixed canonical system."""
-
-    def supplier(alpha):
-        return coefficients_for(matrix, alpha, strategy=strategy, delta=delta)
-
-    evaluator = StabilizedEvaluator(
-        basis=basis,
-        coefficient_supplier=supplier,
-        near_threshold=config.big_h,
-        cluster_threshold=config.small_h,
-        contour_order=config.contour_order,
-    )
     worst = relative_error(
-        sweep_columns(evaluator, thetas, alphas), reference, axis=0
+        sweep_columns(make_evaluator(matrix, config), thetas, alphas),
+        reference,
+        axis=0,
     )
     bnorm = coefficients_for(
-        matrix, float(alphas[0]), strategy=strategy, delta=delta
+        matrix, float(alphas[0]), config.strategy, config.delta
     ).coefficient_norm
     return worst, bnorm
 
@@ -621,7 +620,11 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
     thetas = _circle_grid(_ERROR_GRID_SIZE)
     rng = np.random.default_rng(config.seed)
     test_alphas = rng.uniform(0.0, 2.0 * np.pi, 3)
-    trials = [("two", config.delta)] + [("one", d) for d in delta_list]
+    trials = [
+        replace(config, strategy=strategy, delta=delta).validate()
+        for strategy, delta in [("two", config.delta)]
+        + [("one", d) for d in delta_list]
+    ]
     tri_m = preset_shape("equilateral").m
     # degenerate screen angle sets around {pi/2, 3pi/2}, then
     # near-degenerate equilateral-triangle angle sets a + (m-1) pi/6
@@ -648,11 +651,10 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
                 cond = math.inf
             else:
                 cond = base.matrix.condition_number
-            for strategy, delta in trials:
+            for trial in trials:
                 try:
                     e_out, bnorm = _trial_error(
-                        base.matrix, base.basis, config, strategy, delta,
-                        test_alphas, reference, thetas,
+                        base.matrix, trial, test_alphas, reference, thetas
                     )
                     status = "ok"
                 except (ZeroColumnEncountered, SingularSubmatrix):
@@ -664,8 +666,8 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
                         shape_name,
                         k,
                         len(angles),
-                        strategy,
-                        delta if strategy == "one" else None,
+                        trial.strategy,
+                        trial.delta if trial.strategy == "one" else None,
                         offset,
                         e_in,
                         e_out,
@@ -685,44 +687,47 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
 
 def cmd_table(config, k_list, shape_list, epw_list):
     start = time.perf_counter()
+    if not (k_list and shape_list and epw_list):
+        raise ConfigError("table needs at least one k, shape and epw value")
+    # every row's config is checked before the first solve
+    problems = [
+        (shape_name, float(k), [
+            replace(
+                config, shape=shape_name, geometry_file=None, k=float(k),
+                elements_per_wavelength=float(epw),
+            ).validate()
+            for epw in epw_list
+        ])
+        for shape_name in shape_list
+        for k in k_list
+    ]
     rows = []
-    for shape_name in shape_list:
+    for shape_name, k, trials in problems:
         shape = preset_shape(shape_name)
-        for k in k_list:
-            base_config = replace(
-                config, shape=shape_name, geometry_file=None, k=float(k)
+        ref = build_bem_system(
+            shape,
+            k,
+            elements_per_wavelength=max(epw_list) * _REFERENCE_REFINEMENT,
+            grading_ratio=config.grading,
+            corner_layers=config.grading_layers,
+        )
+        for trial in trials:
+            pipeline = build_pipeline(trial, shape=shape)
+            e_in = input_error(pipeline, ref)
+            e_out = torus_output_error(
+                pipeline, ref, config.n_theta, config.n_alpha
             )
-            ref_config = replace(
-                base_config,
-                elements_per_wavelength=max(epw_list) * _REFERENCE_REFINEMENT,
+            rows.append(
+                (
+                    k,
+                    shape_name,
+                    len(pipeline.system.mesh.lengths),
+                    e_in,
+                    e_out,
+                    e_out / e_in if e_in > 0 else math.inf,
+                    pipeline.matrix.condition_number,
+                )
             )
-            ref = build_bem_system(
-                shape,
-                float(k),
-                elements_per_wavelength=ref_config.elements_per_wavelength,
-                grading_ratio=config.grading,
-                corner_layers=config.grading_layers,
-            )
-            for epw in epw_list:
-                trial = replace(
-                    base_config, elements_per_wavelength=float(epw)
-                )
-                pipeline = build_pipeline(trial, shape=shape)
-                e_in = input_error(pipeline, ref)
-                e_out = torus_output_error(
-                    pipeline, ref, config.n_theta, config.n_alpha
-                )
-                rows.append(
-                    (
-                        float(k),
-                        shape_name,
-                        len(pipeline.system.mesh.lengths),
-                        e_in,
-                        e_out,
-                        e_out / e_in if e_in > 0 else math.inf,
-                        pipeline.matrix.condition_number,
-                    )
-                )
     out = config.out or "table.csv"
     write_csv(
         out,

@@ -11,7 +11,8 @@ so every entry comes from the canonical solves alone.  The square system
 is rank deficient by design once the angle set is oversampled; this
 module provides the two regularizations, a truncated-SVD pseudo-inverse
 (strategy one) and greedy column subset selection followed by a direct
-solve on the selected square subsystem (strategy two).
+solve on the selected square subsystem (strategy two).  Either way the
+coefficients are one fixed linear map of d, built once per system.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .embedding import lambda_weight
+from .embedding import EmbeddingBasis
 
 DEFAULT_DELTA = 1e-8
 DEFAULT_STRATEGY = "two"
@@ -133,45 +134,26 @@ class CoefficientVector:
     """Embedding weights for one incidence angle, with diagnostics."""
 
     values: np.ndarray
-    strategy: str
-    delta: float | None
-    index_set: np.ndarray | None
     residual_norm: float
     coefficient_norm: float
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass
 class SystemMatrix:
-    """The square canonical system and its cached factorizations."""
+    """The square canonical system on an embedding basis, with its cached
+    factorizations and solve operators."""
 
-    angles: np.ndarray
-    far_fields: object  # stacked: value(theta) has shape shape(theta) + (m,)
-    p: int
+    basis: EmbeddingBasis
     coefficient_count: int
     matrix: np.ndarray = field(init=False, repr=False)
     sign: int = field(init=False)
-    subset_selections: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self.angles = np.asarray(self.angles, dtype=np.float64)
-        if len(self.angles) != len(self.far_fields):
-            raise ValueError("one far field per canonical angle")
-        self.sign = -1 if self.p % 2 == 0 else 1
-        lam = lambda_weight(
-            self.angles[:, None], self.angles[None, :], self.p
-        )
-        self.matrix = lam * self.far_fields.value(self.angles)
+        self.sign = -1 if self.basis.p % 2 == 0 else 1
+        self.matrix = self.basis.hat_values(self.basis.angles)[0]
         self._svd = None
         self._subset = None
-        self._subset_lu = None
-        self._pinv_cache = {}
-
-    @property
-    def oversampling(self):
-        return len(self.angles)
+        self._operators = {}
 
     def svd(self):
         if self._svd is None:
@@ -186,84 +168,64 @@ class SystemMatrix:
         return float(sigma[0] / sigma[-1])
 
     def right_hand_side(self, alpha):
-        values = self.far_fields.value(float(alpha))
-        return self.sign * lambda_weight(alpha, self.angles, self.p) * values
+        return self.sign * self.basis.hat_values(float(alpha))[0]
 
     def subset(self):
         if self._subset is None:
             self._subset = column_subset(self.matrix, self.coefficient_count)
-            self.subset_selections += 1
         return self._subset
 
-    @property
-    def submatrix_condition(self):
+    def operator(self, strategy, delta=DEFAULT_DELTA):
+        """The fixed linear map from d(alpha) to b(alpha), built on first use.
+
+        Strategy one is the truncated-SVD pseudo-inverse of the full
+        oversampled system.  Strategy two is the inverse of the square
+        subsystem on the greedily selected index set, embedded in zeros;
+        delta plays no part in it.
+        """
+        if strategy == "two":
+            delta = None
+        elif strategy != "one":
+            raise ValueError(f"unknown strategy {strategy!r}")
+        elif delta is None or delta <= 0:
+            raise ValueError("strategy one needs a positive delta")
+        key = (strategy, delta)
+        if key not in self._operators:
+            self._operators[key] = (
+                tsvd_pseudoinverse(self.svd(), delta)
+                if strategy == "one"
+                else self._subset_inverse()
+            )
+        return self._operators[key]
+
+    def _subset_inverse(self):
         idx = self.subset()
-        sub = self.matrix[np.ix_(idx, idx)]
-        sigma = svd(sub).sigma
-        if sigma[-1] == 0.0:
-            return math.inf
-        return float(sigma[0] / sigma[-1])
-
-    def _subset_solver(self):
-        if self._subset_lu is None:
-            idx = self.subset()
-            sub = self.matrix[np.ix_(idx, idx)]
-            lu, piv = lu_factor(sub)
-            diag = np.abs(np.diag(lu))
-            if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-                raise SingularSubmatrix(
-                    f"subsystem pivot ratio {diag.min() / diag.max():.3e}"
-                )
-            self._subset_lu = (lu, piv)
-        return self._subset_lu
-
-    def pseudoinverse(self, delta):
-        key = float(delta)
-        if key not in self._pinv_cache:
-            self._pinv_cache[key] = tsvd_pseudoinverse(self.svd(), key)
-        return self._pinv_cache[key]
+        lu, piv = lu_factor(self.matrix[np.ix_(idx, idx)])
+        diag = np.abs(np.diag(lu))
+        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
+            raise SingularSubmatrix(
+                f"subsystem pivot ratio {diag.min() / diag.max():.3e}"
+            )
+        inverse = np.zeros_like(self.matrix)
+        inverse[np.ix_(idx, idx)] = lu_solve((lu, piv), np.eye(len(idx)))
+        return inverse
 
 
-def build_system(angles, far_fields, p, coefficient_count):
-    """Assemble the canonical system matrix from solved far fields."""
-    return SystemMatrix(
-        angles=angles,
-        far_fields=far_fields,
-        p=p,
-        coefficient_count=coefficient_count,
-    )
+def build_system(basis, coefficient_count):
+    """Assemble the canonical system matrix on an embedding basis."""
+    return SystemMatrix(basis=basis, coefficient_count=coefficient_count)
 
 
 def coefficients_for(
     system, alpha, strategy=DEFAULT_STRATEGY, delta=DEFAULT_DELTA
 ):
-    """Embedding coefficients for one incidence angle.
-
-    Strategy one applies the truncated-SVD pseudo-inverse of the full
-    oversampled system.  Strategy two solves the square subsystem on the
-    greedily selected index set (chosen once per system and reused) and
-    embeds the result, leaving all other entries zero.
-    """
+    """Embedding coefficients for one incidence angle: the strategy's
+    solve operator applied to the right-hand side, with the residual and
+    the coefficient norm."""
     d = system.right_hand_side(alpha)
-    if strategy == "one":
-        if delta is None or delta <= 0:
-            raise ValueError("strategy one needs a positive delta")
-        b = system.pseudoinverse(delta) @ d
-        index_set = None
-    elif strategy == "two":
-        idx = system.subset()
-        b = np.zeros(system.oversampling, dtype=np.complex128)
-        b[idx] = lu_solve(system._subset_solver(), d[idx])
-        index_set = idx
-        delta = None
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    residual = float(np.linalg.norm(system.matrix @ b - d))
+    b = system.operator(strategy, delta) @ d
     return CoefficientVector(
         values=b,
-        strategy=strategy,
-        delta=delta,
-        index_set=index_set,
-        residual_norm=residual,
+        residual_norm=float(np.linalg.norm(system.matrix @ b - d)),
         coefficient_norm=float(np.linalg.norm(b)),
     )

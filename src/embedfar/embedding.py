@@ -87,12 +87,6 @@ def lambda_weight(theta, alpha, p, order=0):
     raise ValueError("order must be 0, 1 or 2")
 
 
-def strip_half_width(p):
-    """Half-width of the complex strip on which |Lambda| is provably
-    bounded away from zero and above: log(3 + pi^2/64)/p."""
-    return math.log(3.0 + math.pi**2 / 64.0) / p
-
-
 def error_constant(coefficient_norm=1.0):
     """Worst-case input-to-output error amplification, up to the
     (1 + 1/(2 h^2)) contour factor."""
@@ -254,22 +248,6 @@ def _residue_term(p, numerator_at_chi, chi, theta):
     return numerator_at_chi / (p * (chi - theta) * s)
 
 
-def residue_eval(basis, coefficients, theta, alpha, include):
-    """Naive quotient minus the simple-pole residue corrections at the
-    zeros listed in include.
-
-    A coalesced zero (sin(p chi) ~ 0) is rejected with
-    DoublePoleInSimpleBranch, and the contour form must be used instead.
-    """
-    value = naive_eval(basis, coefficients, theta, alpha)
-    for chi in np.atleast_1d(include):
-        chi = float(chi)
-        value -= _residue_term(
-            basis.p, basis.numerator(coefficients, chi), chi, theta
-        )
-    return value
-
-
 @dataclass(frozen=True)
 class RectContour:
     """Axis-aligned rectangle around a set of real points."""
@@ -370,29 +348,19 @@ class StabilizedEvaluator:
     """Far-field evaluation through the embedding formula with automatic
     residue and contour corrections near the zeros of Lambda(., alpha).
 
-    coefficient_supplier maps an incidence angle to the coefficient vector
-    (anything exposing .values, or a plain array) over basis.angles.
+    coefficients maps an incidence angle to the coefficient array over
+    basis.angles; it is called once per sweep or point.
     """
 
     basis: EmbeddingBasis
-    coefficient_supplier: object
+    coefficients: object
     near_threshold: float = DEFAULT_NEAR_THRESHOLD
     cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD
     contour_order: int = DEFAULT_CONTOUR_ORDER
     branch_counts: Counter = field(default_factory=Counter)
 
-    _coeff_cache: dict = field(default_factory=dict, repr=False)
     # (thetas.tobytes(), basis.hat_values(thetas)[0]) of the last grid
     _grid: tuple = field(default=(None, None), repr=False)
-
-    def coefficients(self, alpha):
-        alpha = float(alpha)
-        if alpha not in self._coeff_cache:
-            result = self.coefficient_supplier(alpha)
-            self._coeff_cache[alpha] = np.asarray(
-                getattr(result, "values", result)
-            )
-        return self._coeff_cache[alpha]
 
     def evaluate(self, theta, alpha):
         """Stabilized far-field value at one (theta, alpha) pair."""

@@ -203,15 +203,6 @@ class QuadraticInterpolant:
         n, c = self.newton_nodes, self.newton_coeffs
         return c[1] + c[2] * ((z - n[0]) + (z - n[1]))
 
-    @property
-    def monomial_coefficients(self):
-        """(a0, a1, a2) with rho(z) = a0 + a1 z + a2 z^2."""
-        n, c = self.newton_nodes, self.newton_coeffs
-        a2 = c[2]
-        a1 = c[1] - c[2] * (n[0] + n[1])
-        a0 = c[0] - c[1] * n[0] + c[2] * n[0] * n[1]
-        return a0, a1, a2
-
 
 def _close(a, b):
     return abs(a - b) <= 1e-13 * max(1.0, abs(a), abs(b))

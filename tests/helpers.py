@@ -141,6 +141,16 @@ def _scalar_residue_term(basis, b, chi, theta):
     return basis.numerator(b, chi) / (p * (chi - theta) * s)
 
 
+def residue_eval(basis, b, theta, alpha, include):
+    """Naive quotient minus the simple-pole residue corrections at the
+    zeros listed in include; a coalesced zero raises
+    DoublePoleInSimpleBranch."""
+    value = naive_eval(basis, b, theta, alpha)
+    for chi in np.atleast_1d(include):
+        value -= _scalar_residue_term(basis, b, float(chi), theta)
+    return value
+
+
 def _scalar_quadratic(basis, b, theta, env):
     th0, th1 = env.theta0, env.theta0_prime
     confluent = env.is_double or abs(th0 - th1) <= _CONFLUENT

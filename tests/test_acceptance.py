@@ -37,7 +37,6 @@ from embedfar.embedding import (
     pole_environment,
     pole_set,
     rect_contour,
-    residue_eval,
 )
 from embedfar.geometry import preset_shape
 from embedfar.specialfun import gauss_legendre, hankel1
@@ -175,7 +174,7 @@ def test_criterion_03_residue_matches_contour():
         side = 1.0 if rng.uniform() < 0.5 else -1.0
         theta = chi + side * float(rng.uniform(0.1, 0.2)) * sep
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        direct = complex(residue_eval(basis, b, theta, alpha, [chi]))
+        direct = complex(helpers.residue_eval(basis, b, theta, alpha, [chi]))
         contour = rect_contour([theta, chi], 0.2 * sep)
         integral = complex(
             contour_eval(
@@ -441,8 +440,10 @@ def test_criterion_09_condition_blowup():
     conds = {}
     for a in (math.pi / 24.0, 1e-3):
         angles = np.mod(a + np.arange(shape.m) * math.pi / 6.0, TWO_PI)
-        far_fields = system.solve_far_fields(angles)
-        matrix = build_coefficient_system(angles, far_fields, shape.p, shape.m)
+        basis = EmbeddingBasis(
+            p=shape.p, angles=angles, far_fields=system.solve_far_fields(angles)
+        )
+        matrix = build_coefficient_system(basis, shape.m)
         conds[a] = matrix.condition_number
     ratio = conds[1e-3] / conds[math.pi / 24.0]
     elapsed = time.perf_counter() - start

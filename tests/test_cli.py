@@ -1,13 +1,16 @@
 """Command-line interface: config handling, outputs, exit codes."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import embedfar
 import embedfar.cli as cli
 from embedfar.cli import (
     EXIT_CONFIG,
@@ -115,6 +118,7 @@ def test_validate_rejects_bad_configs():
         {"k": 100.0},
         {"strategy": "three"},
         {"delta": -1e-3},
+        {"strategy": "one", "delta": 0.0},
         {"mtilde": 0},
         {"big_h": 0.01, "small_h": 0.15},
         {"contour_order": 1},
@@ -269,6 +273,27 @@ def test_invalid_strategy_flag_is_rejected(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--strategy", "1", "--delta", "0"],
+        ["study-oversampling", "--delta-list", "0"],
+        ["table", "--k-list", "-1"],
+        ["table", "--epw-list", "0"],
+        ["table", "--shape-list", "nosuch"],
+        ["table", "--epw-list", ""],
+    ],
+)
+def test_bad_experiment_lists_are_config_errors(argv, monkeypatch, capsys):
+    # each is rejected before the first boundary-element solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran before the config was checked")
+
+    monkeypatch.setattr(cli, "build_bem_system", no_solve)
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_non_finite_flag_is_config_error(capsys):
     assert main(["sweep", "--alpha", "nan"]) == EXIT_CONFIG
     assert "alpha must be finite" in capsys.readouterr().err
@@ -365,10 +390,14 @@ def test_selftest_passes(capsys):
 
 
 def test_module_entry_point_shows_usage():
+    # the child finds the package where this process imported it from
+    src = str(Path(embedfar.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "embedfar", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "sweep" in proc.stdout

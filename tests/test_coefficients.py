@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import embedfar.coefficients as coefficients
 from embedfar.cli import ExperimentConfig, build_pipeline
 from embedfar.coefficients import (
     ZeroColumnEncountered,
@@ -19,7 +20,8 @@ from embedfar.coefficients import (
     svd,
     tsvd_pseudoinverse,
 )
-from embedfar.embedding import lambda_weight
+from embedfar.embedding import EmbeddingBasis, lambda_weight
+from embedfar.geometry import preset_shape
 from helpers import TrigFarFields, random_trig
 
 TWO_PI = 2.0 * math.pi
@@ -35,7 +37,8 @@ def _family_system(p, angles, seed, count=2):
     T = random_trig(rng, degree=3)
     angles = np.asarray(angles, dtype=np.float64)
     fields = TrigFarFields(T.scaled(complex(T.value(a))) for a in angles)
-    return T, build_system(angles, fields, p, coefficient_count=count)
+    basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
+    return T, build_system(basis, coefficient_count=count)
 
 
 def test_default_oversampling():
@@ -226,7 +229,7 @@ def test_greedy_subset_errors():
 def test_system_matrix_entries():
     p = 3
     T, system = _family_system(p, canonical_angles(4), seed=50)
-    angles = system.angles
+    angles = system.basis.angles
     for i in range(4):
         for j in range(4):
             expected = (
@@ -273,9 +276,9 @@ def test_both_strategies_reproduce_the_family():
                     continue
                 numerator = sum(
                     coeff.values[m]
-                    * complex(lambda_weight(theta, system.angles[m], p))
-                    * complex(system.far_fields[m].value(theta))
-                    for m in range(len(system.angles))
+                    * complex(lambda_weight(theta, system.basis.angles[m], p))
+                    * complex(system.basis.far_fields[m].value(theta))
+                    for m in range(len(system.basis))
                 )
                 embedded = numerator / lam
                 truth = complex(T.value(theta)) * truth_alpha
@@ -286,19 +289,27 @@ def test_unit_vectors_at_selected_canonical_angles():
     p = 2
     T, system = _family_system(p, canonical_angles(5), seed=53)
     for j in system.subset():
-        coeff = coefficients_for(system, float(system.angles[j]), strategy="two")
-        expected = np.zeros(len(system.angles))
+        coeff = coefficients_for(
+            system, float(system.basis.angles[j]), strategy="two"
+        )
+        expected = np.zeros(len(system.basis))
         expected[j] = 1.0
         assert float(np.max(np.abs(coeff.values - expected))) <= 1e-9
-        assert coeff.index_set is not None
 
 
-def test_subset_selected_once_and_reused():
+def test_subset_selected_once_and_reused(monkeypatch):
+    calls = []
+
+    def counted(matrix, count):
+        calls.append(count)
+        return column_subset(matrix, count)
+
+    monkeypatch.setattr(coefficients, "column_subset", counted)
     p = 2
     T, system = _family_system(p, canonical_angles(5), seed=54)
     for alpha in np.linspace(0.1, 6.0, 300):
         coefficients_for(system, float(alpha))
-    assert system.subset_selections == 1
+    assert calls == [2]
 
 
 def test_strategy_validation():
@@ -315,7 +326,8 @@ def test_degenerate_screen_pair_is_flagged():
     T = random_trig(rng, degree=2)
     angles = np.array([math.pi / 2.0, 1.5 * math.pi])
     fields = TrigFarFields(T.scaled(complex(T.value(a))) for a in angles)
-    system = build_system(angles, fields, 1, coefficient_count=2)
+    basis = EmbeddingBasis(p=1, angles=angles, far_fields=fields)
+    system = build_system(basis, coefficient_count=2)
     assert float(np.max(np.abs(system.matrix))) <= 1e-12
     with pytest.raises(ZeroColumnEncountered):
         coefficients_for(system, 0.3, strategy="two")
@@ -327,8 +339,50 @@ def test_condition_numbers_and_strategy_agreement():
     p = 3
     T, system = _family_system(p, [0.7, 2.1], seed=57)
     assert system.condition_number >= 1.0
-    assert system.submatrix_condition >= 1.0
     one = coefficients_for(system, 0.9, strategy="one", delta=1e-12)
     two = coefficients_for(system, 0.9, strategy="two")
     scale = max(1.0, float(np.linalg.norm(two.values)))
     assert np.allclose(one.values, two.values, atol=1e-8 * scale)
+
+
+@pytest.mark.parametrize(
+    "shape", ["square", "equilateral", "isosceles-right", "pentagon", "screen"]
+)
+def test_system_is_the_weighted_basis_bitwise(shape):
+    # the matrix and right-hand side come from the basis's hat values; they
+    # must keep every bit of the explicit Lambda * D products, or the column
+    # subset can change
+    system = build_pipeline(ExperimentConfig(shape=shape, k=10.0)).matrix
+    basis = system.basis
+    angles = basis.angles
+    lam = lambda_weight(angles[:, None], angles[None, :], basis.p)
+    assert np.array_equal(system.matrix, lam * basis.far_fields.value(angles))
+    for alpha in (0.3, 2.9, 5.1):
+        expected = (
+            system.sign
+            * lambda_weight(alpha, angles, basis.p)
+            * basis.far_fields.value(alpha)
+        )
+        assert np.array_equal(system.right_hand_side(alpha), expected)
+
+
+@pytest.mark.parametrize("case", ["pentagon", "equilateral-a=1e-3"])
+def test_subset_operator_matches_direct_subsystem_solve(case):
+    if case == "pentagon":
+        system = build_pipeline(ExperimentConfig(shape="pentagon", k=10.0)).matrix
+    else:
+        # the near-degenerate angle set of acceptance criterion 09
+        m = preset_shape("equilateral").m
+        angles = np.mod(1e-3 + np.arange(m) * math.pi / 6.0, TWO_PI)
+        system = build_pipeline(
+            ExperimentConfig(shape="equilateral", k=10.0), canonical=angles
+        ).matrix
+    idx = system.subset()
+    sub = system.matrix[np.ix_(idx, idx)]
+    for alpha in np.random.default_rng(59).uniform(0.0, TWO_PI, 20):
+        d = system.right_hand_side(alpha)
+        expected = np.zeros(len(d), dtype=np.complex128)
+        expected[idx] = np.linalg.solve(sub, d[idx])
+        got = coefficients_for(system, float(alpha), strategy="two").values
+        gap = float(np.linalg.norm(got - expected))
+        assert gap <= 1e-13 * float(np.linalg.norm(expected))

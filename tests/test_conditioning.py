@@ -16,6 +16,7 @@ import pytest
 
 from embedfar.bem import build_system
 from embedfar.coefficients import build_system as build_coefficient_system
+from embedfar.embedding import EmbeddingBasis
 from embedfar.geometry import preset_shape
 
 TWO_PI = 2.0 * math.pi
@@ -27,8 +28,10 @@ def _condition_numbers(k, offsets):
     conds = {}
     for a in offsets:
         angles = np.mod(a + np.arange(shape.m) * math.pi / 6.0, TWO_PI)
-        far_fields = system.solve_far_fields(angles)
-        matrix = build_coefficient_system(angles, far_fields, shape.p, shape.m)
+        basis = EmbeddingBasis(
+            p=shape.p, angles=angles, far_fields=system.solve_far_fields(angles)
+        )
+        matrix = build_coefficient_system(basis, shape.m)
         conds[a] = matrix.condition_number
     return conds
 

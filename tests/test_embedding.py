@@ -25,14 +25,13 @@ from embedfar.embedding import (
     pole_environment,
     pole_set,
     rect_contour,
-    residue_eval,
-    strip_half_width,
 )
 from helpers import (
     TrigFarFields,
     exact_coefficients,
     random_trig,
     rank_one_family,
+    residue_eval,
     scalar_dispatch,
     scalar_sweep,
     true_value,
@@ -167,9 +166,9 @@ def test_weight_strip_bounds():
 
 def test_strip_constants():
     for p in (1, 2, 3, 6):
-        c = strip_half_width(p)
-        assert abs(c - math.log(3.0 + math.pi**2 / 64.0) / p) <= 1e-15
-        # at height c the strip lower bound equals pi^2/128 > 0
+        # the strip half-width log(3 + pi^2/64)/p, where the lower bound
+        # (e^(p c) - 3)/2 on |Lambda| equals pi^2/128 > 0
+        c = math.log(3.0 + math.pi**2 / 64.0) / p
         assert abs((math.exp(p * c) - 3.0) / 2.0 - math.pi**2 / 128.0) <= 1e-12
     assert abs(error_constant(2.0) - 2.0 * error_constant(1.0)) <= 1e-12
     assert error_constant(1.0) > 0.0
@@ -271,7 +270,7 @@ def test_evaluator_reproduces_consistent_family(p):
     alpha = float(rng.uniform(0.0, TWO_PI))
     evaluator = StabilizedEvaluator(
         basis=basis,
-        coefficient_supplier=lambda a: exact_coefficients(T, angles, p, a),
+        coefficients=lambda a: exact_coefficients(T, angles, p, a),
     )
     zeros = pole_set(alpha, p)
     thetas = np.concatenate(
@@ -316,7 +315,7 @@ def test_sweep_matches_pointwise_evaluation():
     alpha = 1.1
     evaluator = StabilizedEvaluator(
         basis=basis,
-        coefficient_supplier=lambda a: exact_coefficients(T, angles, p, a),
+        coefficients=lambda a: exact_coefficients(T, angles, p, a),
     )
     thetas = np.linspace(0.0, TWO_PI, 157)
     swept, _ = evaluator.evaluate_sweep(thetas, alpha)
@@ -341,7 +340,7 @@ def test_dispatch_selects_documented_branches():
     for theta, alpha, expected_branch in cases:
         evaluator = StabilizedEvaluator(
             basis=basis,
-            coefficient_supplier=lambda a: exact_coefficients(T, angles, p, a),
+            coefficients=lambda a: exact_coefficients(T, angles, p, a),
         )
         value, branch = evaluator.evaluate_with_branch(theta, alpha)
         assert branch == expected_branch, (theta, alpha, branch)
@@ -359,7 +358,7 @@ def test_stabilization_bounds_noise_amplification():
     alpha = 0.8
     b = exact_coefficients(T, angles, p, alpha)
     evaluator = StabilizedEvaluator(
-        basis=basis, coefficient_supplier=lambda a: b
+        basis=basis, coefficients=lambda a: b
     )
     chi = float(pole_set(alpha, p)[0])
     theta = chi + 1e-7
@@ -384,13 +383,41 @@ def test_coefficient_cache_and_branch_counts():
         calls.append(alpha)
         return exact_coefficients(T, angles, p, alpha)
 
-    evaluator = StabilizedEvaluator(basis=basis, coefficient_supplier=supplier)
+    evaluator = StabilizedEvaluator(basis=basis, coefficients=supplier)
     thetas = np.linspace(0.0, TWO_PI, 100, endpoint=False)
     evaluator.evaluate_sweep(thetas, 0.9)
     evaluator.evaluate_sweep(thetas, 0.9)
     evaluator.evaluate(1.0, 0.9)
-    assert len(calls) == 1
+    # one coefficient call per sweep or point: the evaluator keeps no
+    # per-alpha state
+    assert calls == [0.9, 0.9, 0.9]
     assert sum(evaluator.branch_counts.values()) == 201
+
+
+def test_evaluator_state_does_not_grow_with_alpha():
+    rng = np.random.default_rng(36)
+    p = 3
+    T, angles, fields = rank_one_family(p, rng)
+    basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
+    evaluator = StabilizedEvaluator(
+        basis=basis,
+        coefficients=lambda a: exact_coefficients(T, angles, p, a),
+    )
+    thetas = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+
+    def state():
+        return {
+            name: (id(value), len(value) if hasattr(value, "__len__") else None)
+            for name, value in vars(evaluator).items()
+            if name != "branch_counts"
+        }
+
+    evaluator.evaluate_sweep(thetas, 0.1)
+    before = state()
+    for alpha in rng.uniform(0.0, TWO_PI, 500):
+        evaluator.evaluate_sweep(thetas, float(alpha))
+        evaluator.evaluate(1.0, float(alpha))
+    assert state() == before
 
 
 def test_sweep_follows_in_place_edits_of_thetas():
@@ -402,7 +429,7 @@ def test_sweep_follows_in_place_edits_of_thetas():
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
     evaluator = StabilizedEvaluator(
         basis=basis,
-        coefficient_supplier=lambda a: exact_coefficients(T, angles, p, a),
+        coefficients=lambda a: exact_coefficients(T, angles, p, a),
     )
     thetas = np.linspace(0.0, TWO_PI, 90, endpoint=False)
     evaluator.evaluate_sweep(thetas, 0.9)
@@ -426,7 +453,7 @@ def test_evaluator_rejects_non_finite_angles(bad):
         calls.append(alpha)
         return exact_coefficients(T, angles, p, alpha)
 
-    evaluator = StabilizedEvaluator(basis=basis, coefficient_supplier=supplier)
+    evaluator = StabilizedEvaluator(basis=basis, coefficients=supplier)
     thetas = np.linspace(0.0, TWO_PI, 20, endpoint=False)
     with_bad = thetas.copy()
     with_bad[7] = bad
@@ -455,7 +482,7 @@ def _noisy_evaluator(p, seed, fields_type=TrigFarFields):
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=noisy)
     return StabilizedEvaluator(
         basis=basis,
-        coefficient_supplier=lambda a: exact_coefficients(T, angles, p, a),
+        coefficients=lambda a: exact_coefficients(T, angles, p, a),
     )
 
 

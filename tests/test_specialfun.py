@@ -129,16 +129,17 @@ def test_interpolates_parabola():
     q = quadratic_interpolate([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     for z in (0.0, 0.5, 1.0, 1.7, 2.0, 1.0 + 0.5j):
         assert abs(q(z) - z * z) <= 1e-13 * max(1.0, abs(z) ** 2)
-    a0, a1, a2 = q.monomial_coefficients
-    assert abs(a0) <= 1e-13
-    assert abs(a1) <= 1e-13
-    assert abs(a2 - 1.0) <= 1e-13
+    # three values fix a quadratic: z^2 at points off the nodes
+    for z in (-1.0, 3.0, 10.0):
+        assert abs(q(z) - z * z) <= 1e-13 * z * z
 
 
 def test_two_nodes_give_a_line():
     q = quadratic_interpolate([1.0, 3.0], [2.0, 6.0])
     assert abs(q(2.0) - 4.0) <= 1e-13
-    assert abs(q.monomial_coefficients[2]) <= 1e-14
+    # no curvature: the line 2z also far outside the nodes
+    for z in (-7.0, 11.0, 1.0 + 2.0j):
+        assert abs(q(z) - 2.0 * z) <= 1e-13 * abs(z)
 
 
 def test_derivative_condition():
