@@ -38,6 +38,8 @@ _ASSEMBLY_CHUNK = 4_000_000
 # far-field modes past N stay below this fraction of the largest, N >= kR
 _MODE_TAIL = 2.0**-53 / 100.0
 _POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
+# m n k of a GEMM above which OpenBLAS runs it on several threads
+_THREADED_GEMM = 65536
 
 
 class EmptyMesh(ValueError):
@@ -389,8 +391,12 @@ class FarField:
     for one solve or (2N+1, n) for n solves sharing the quadrature, and
     numbers the mode numbers -N..N.  value()
     accepts real or complex observation angles and returns shape(theta),
-    plus (n,) for stacked solves, as (e^{in theta} P(theta) mult) @ modes,
-    with P the centre's phase and mult the exact derivative multiplier.
+    plus (n,) for stacked solves, as rows(theta) @ modes, where a row is
+    e^{in theta} P(theta) mult with P the centre's phase and mult the exact
+    derivative multiplier.  A product of threaded size runs through scipy's
+    BLAS, as the solves do (see BemSystem), so that an evaluator's grid does
+    not wake numpy's worker threads beside scipy's, which still spin after
+    a set-up; smaller ones use numpy's, which costs less per call.
     len(), [j] and iteration give the stacked solves one at a time, each a
     view of the shared modes.
     """
@@ -399,9 +405,11 @@ class FarField:
     centre: np.ndarray  # (2,)
     modes: np.ndarray  # (2N+1,) or (2N+1, n)
     numbers: np.ndarray = field(init=False, repr=False)
+    _i_numbers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.numbers = np.arange(len(self.modes)) - self.degree
+        self._i_numbers = 1j * self.numbers
 
     @property
     def degree(self):
@@ -424,19 +432,30 @@ class FarField:
             raise TypeError("a single far field cannot be indexed")
         return FarField(self.k, self.centre, self.modes[:, j])
 
-    def value(self, theta, order=0):
+    def rows(self, theta, order=0):
+        """The (size(theta), 2N+1) matrix e^{in theta} P(theta) mult that
+        value() multiplies into the modes; theta is flattened."""
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
-        theta = np.asarray(theta)
-        t = theta.reshape(-1, 1)
+        t = np.asarray(theta).reshape(-1, 1)
         cos, sin = np.cos(t), np.sin(t)
-        (c1, c2), n = self.centre, self.numbers
+        (c1, c2), i_n = self.centre, self._i_numbers
         # P(theta) = e^g; g'' = -g, so D' = P (g' + in) and
         # D'' = P ((g' + in)^2 - g) mode by mode
         g = -1j * self.k * (c1 * cos + c2 * sin)
-        rows = np.exp(g + 1j * n * t)
+        rows = np.exp(g + i_n * t)
         if order:
-            slope = -1j * self.k * (c2 * cos - c1 * sin) + 1j * n
+            slope = -1j * self.k * (c2 * cos - c1 * sin) + i_n
             rows *= slope if order == 1 else slope * slope - g
+        return rows
+
+    def value(self, theta, order=0):
+        theta = np.asarray(theta)
+        rows = self.rows(theta, order)
+        if self.modes.ndim == 2 and rows.size * self.modes.shape[1] > _THREADED_GEMM:
+            # (modes^T rows^T)^T; the stacked modes are Fortran-ordered
+            values = zgemm(1.0, self.modes, rows.T, trans_a=1).T
+        else:
+            values = rows @ self.modes
         # [()] turns the 0-d result of a scalar theta into a scalar
-        return (rows @ self.modes).reshape(theta.shape + self.modes.shape[1:])[()]
+        return values.reshape(theta.shape + self.modes.shape[1:])[()]

@@ -252,8 +252,7 @@ def load_shape(config):
     return preset_shape(config.shape)
 
 
-def build_pipeline(config, shape=None, elements_per_wavelength=None,
-                   canonical=None):
+def build_pipeline(config, shape=None, canonical=None):
     shape = load_shape(config) if shape is None else shape
     if canonical is None:
         mtilde = config.mtilde or default_oversampling(shape.m)
@@ -262,15 +261,10 @@ def build_pipeline(config, shape=None, elements_per_wavelength=None,
                 f"mtilde {mtilde} is below the coefficient count M = {shape.m}"
             )
         canonical = canonical_angles(mtilde)
-    epw = (
-        config.elements_per_wavelength
-        if elements_per_wavelength is None
-        else elements_per_wavelength
-    )
     system = build_bem_system(
         shape,
         config.k,
-        elements_per_wavelength=epw,
+        elements_per_wavelength=config.elements_per_wavelength,
         grading_ratio=config.grading,
         corner_layers=config.grading_layers,
     )
@@ -289,10 +283,11 @@ def build_pipeline(config, shape=None, elements_per_wavelength=None,
 
 def make_evaluator(matrix, config):
     """Stabilized evaluator on the canonical system's basis, with the
-    coefficients of config's strategy and delta."""
+    coefficients of config's strategy and delta.  The operator behind them
+    is built on the first query, so a rank-deficient system raises there."""
 
     def coefficients(alpha):
-        return coefficients_for(matrix, alpha, config.strategy, config.delta).values
+        return matrix.coefficients(alpha, config.strategy, config.delta)
 
     return StabilizedEvaluator(
         basis=matrix.basis,
@@ -373,10 +368,9 @@ def torus_output_error(pipeline, ref_system, n_theta, n_alpha):
     )
 
 
-def naive_error_curve(pipeline, alpha, thetas, ref_values, scale):
-    """Relative naive-formula error, +inf exactly on the poles."""
-    basis = pipeline.matrix.basis
-    b = pipeline.evaluator.coefficients(alpha)
+def naive_error_curve(basis, b, alpha, thetas, ref_values, scale):
+    """Relative error of the naive quotient with coefficients b, +inf
+    exactly on the poles."""
     lam = lambda_weight(thetas, alpha, basis.p)
     numerator = basis.numerator(b, thetas)
     err = np.full(len(thetas), np.inf)
@@ -469,7 +463,10 @@ def cmd_sweep(config):
     scale = float(np.max(np.abs(ref_values)))
     values, labels = pipeline.evaluator.evaluate_sweep(thetas, alpha)
     stabilized = np.abs(values - ref_values) / scale
-    naive = naive_error_curve(pipeline, alpha, thetas, ref_values, scale)
+    coeff = coefficients_for(pipeline.matrix, alpha, config.strategy, config.delta)
+    naive = naive_error_curve(
+        pipeline.matrix.basis, coeff.values, alpha, thetas, ref_values, scale
+    )
 
     rows = [
         (thetas[i], naive[i], stabilized[i], labels[i])
@@ -488,9 +485,7 @@ def cmd_sweep(config):
         e_in=input_error(pipeline, ref),
         e_out=float(np.max(stabilized)),
         condition=pipeline.matrix.condition_number,
-        coefficient_norm=coefficients_for(
-            pipeline.matrix, alpha, config.strategy, config.delta
-        ).coefficient_norm,
+        coefficient_norm=coeff.coefficient_norm,
         branch_counts=dict(pipeline.evaluator.branch_counts),
         wall_time=time.perf_counter() - start,
     )

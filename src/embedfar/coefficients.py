@@ -12,7 +12,9 @@ is rank deficient by design once the angle set is oversampled; this
 module provides the two regularizations, a truncated-SVD pseudo-inverse
 (strategy one) and greedy column subset selection followed by a direct
 solve on the selected square subsystem (strategy two).  Either way the
-coefficients are one fixed linear map of d, built once per system.
+coefficients are one fixed linear map of d; since d is linear in the
+far-field modes, that map is built once per system on the modes, and a
+query costs one far-field row and two short products.
 """
 
 from __future__ import annotations
@@ -176,12 +178,17 @@ class SystemMatrix:
         return self._subset
 
     def operator(self, strategy, delta=DEFAULT_DELTA):
-        """The fixed linear map from d(alpha) to b(alpha), built on first use.
+        """The fixed linear map from the far-field modes to b(alpha), built
+        on first use: the pair (K1, K2), each (2N+1) x M~, with
 
-        Strategy one is the truncated-SVD pseudo-inverse of the full
-        oversampled system.  Strategy two is the inverse of the square
-        subsystem on the greedily selected index set, embedded in zeros;
-        delta plays no part in it.
+            b(alpha) = cos(p alpha) r K1 + r K2,   r = far_fields.rows(alpha).
+
+        As d(alpha) = sign (cos(p alpha) + offset) * (r C) for the mode
+        matrix C, K1 and K2 are the transposed solves for sign C^T and
+        sign diag(offset) C^T: with the truncated-SVD pseudo-inverse of the
+        full oversampled system (strategy one), or on the square subsystem
+        of the greedily selected index set, zero off it (strategy two,
+        where delta plays no part).
         """
         if strategy == "two":
             delta = None
@@ -191,14 +198,24 @@ class SystemMatrix:
             raise ValueError("strategy one needs a positive delta")
         key = (strategy, delta)
         if key not in self._operators:
+            c_t = self.basis.far_fields.modes.T  # (M~, 2N+1)
+            rhs = self.sign * np.concatenate(
+                [c_t, self.basis.offset[:, None] * c_t], axis=1
+            )
+            if strategy == "one":
+                solved = tsvd_pseudoinverse(self.svd(), delta) @ rhs
+            else:
+                solved = self._subset_solve(rhs)
+            width = c_t.shape[1]
             self._operators[key] = (
-                tsvd_pseudoinverse(self.svd(), delta)
-                if strategy == "one"
-                else self._subset_inverse()
+                np.ascontiguousarray(solved[:, :width].T),
+                np.ascontiguousarray(solved[:, width:].T),
             )
         return self._operators[key]
 
-    def _subset_inverse(self):
+    def _subset_solve(self, rhs):
+        """Rows of rhs on the subset solved against the square subsystem
+        there; zero rows elsewhere."""
         idx = self.subset()
         lu, piv = lu_factor(self.matrix[np.ix_(idx, idx)])
         diag = np.abs(np.diag(lu))
@@ -206,9 +223,19 @@ class SystemMatrix:
             raise SingularSubmatrix(
                 f"subsystem pivot ratio {diag.min() / diag.max():.3e}"
             )
-        inverse = np.zeros_like(self.matrix)
-        inverse[np.ix_(idx, idx)] = lu_solve((lu, piv), np.eye(len(idx)))
-        return inverse
+        solved = np.zeros_like(rhs)
+        solved[idx] = lu_solve((lu, piv), rhs[idx])
+        return solved
+
+    def coefficients(self, alpha, strategy=DEFAULT_STRATEGY, delta=DEFAULT_DELTA):
+        """b(alpha) from the strategy's operator: one far-field row and two
+        short products.  They stay two products: one stacked product is
+        twice the size and reaches the 4096 entries at which OpenBLAS runs
+        a complex GEMV on several threads sooner."""
+        k1, k2 = self.operator(strategy, delta)
+        alpha = float(alpha)
+        row = self.basis.far_fields.rows(alpha)[0]
+        return math.cos(self.basis.p * alpha) * (row @ k1) + row @ k2
 
 
 def build_system(basis, coefficient_count):
@@ -219,13 +246,14 @@ def build_system(basis, coefficient_count):
 def coefficients_for(
     system, alpha, strategy=DEFAULT_STRATEGY, delta=DEFAULT_DELTA
 ):
-    """Embedding coefficients for one incidence angle: the strategy's
-    solve operator applied to the right-hand side, with the residual and
-    the coefficient norm."""
-    d = system.right_hand_side(alpha)
-    b = system.operator(strategy, delta) @ d
+    """Embedding coefficients for one incidence angle from the strategy's
+    operator, with the residual against the right-hand side and the
+    coefficient norm."""
+    b = system.coefficients(alpha, strategy, delta)
     return CoefficientVector(
         values=b,
-        residual_norm=float(np.linalg.norm(system.matrix @ b - d)),
+        residual_norm=float(
+            np.linalg.norm(system.matrix @ b - system.right_hand_side(alpha))
+        ),
         coefficient_norm=float(np.linalg.norm(b)),
     )

@@ -78,13 +78,18 @@ def lambda_weight(theta, alpha, p, order=0):
     """
     theta = np.asarray(theta)
     if order == 0:
-        sign = -1.0 if p % 2 == 0 else 1.0
-        return np.cos(p * theta) + sign * np.cos(p * np.asarray(alpha))
+        return np.cos(p * theta) + lambda_offset(alpha, p)
     if order == 1:
         return -p * np.sin(p * theta)
     if order == 2:
         return -(p * p) * np.cos(p * theta)
     raise ValueError("order must be 0, 1 or 2")
+
+
+def lambda_offset(alpha, p):
+    """The alpha part -(-1)^p cos(p alpha) of Lambda(theta, alpha)."""
+    sign = -1.0 if p % 2 == 0 else 1.0
+    return sign * np.cos(p * np.asarray(alpha))
 
 
 def error_constant(coefficient_norm=1.0):
@@ -177,17 +182,23 @@ class EmbeddingBasis:
 
     far_fields is one stacked operator: far_fields.value(theta, order)
     returns D^(order)(theta, angles[m]) with shape shape(theta) + (m,) for
-    real or complex theta and orders 0..2 (bem.FarField does).
+    real or complex theta and orders 0..2, and equals
+    far_fields.rows(theta, order) @ far_fields.modes, the form the
+    coefficient map reads (bem.FarField does).  offset
+    holds lambda_offset(angles[m], p), so that Lambda(theta, angles[m]) =
+    cos(p theta) + offset[m].
     """
 
     p: int
     angles: np.ndarray
     far_fields: object
+    offset: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.angles = np.asarray(self.angles, dtype=np.float64)
         if len(self.angles) != len(self.far_fields):
             raise ValueError("one far field per canonical angle required")
+        self.offset = lambda_offset(self.angles, self.p)
 
     def __len__(self):
         return len(self.angles)
@@ -201,9 +212,9 @@ class EmbeddingBasis:
             raise ValueError("order must be 0, 1 or 2")
         theta = np.asarray(theta)
         fields = [self.far_fields.value(theta, j) for j in range(order + 1)]
-        weights = [
+        weights = [np.cos(self.p * theta[..., None]) + self.offset] + [
             lambda_weight(theta[..., None], self.angles, self.p, j)
-            for j in range(order + 1)
+            for j in range(1, order + 1)
         ]
         out = np.empty((order + 1,) + fields[0].shape, dtype=np.complex128)
         for n in range(order + 1):

@@ -67,10 +67,24 @@ class TrigFarField:
 class TrigFarFields:
     """Several TrigFarField patterns behind the stacked surface of
     bem.FarField: value(theta, order) has shape shape(theta) + (n,), and
-    len() and [m] give the patterns one at a time."""
+    len() and [m] give the patterns one at a time.  modes holds the Fourier
+    coefficients c_-N..c_N of each pattern, (2N+1, n), and rows(theta,
+    order) the (size(theta), 2N+1) matrix (in)^order e^{in theta}, so that
+    value equals rows @ modes up to rounding."""
 
     def __init__(self, fields):
         self.fields = list(fields)
+        degree = max(abs(j) for f in self.fields for j in f.coefficients)
+        self.numbers = np.arange(-degree, degree + 1)
+        self.modes = np.array(
+            [[f.coefficients.get(int(j), 0.0) for f in self.fields]
+             for j in self.numbers],
+            dtype=np.complex128,
+        )
+
+    def rows(self, theta, order=0):
+        t = np.asarray(theta, dtype=np.complex128).reshape(-1, 1)
+        return (1j * self.numbers) ** order * np.exp(1j * self.numbers * t)
 
     def __len__(self):
         return len(self.fields)

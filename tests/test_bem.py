@@ -175,6 +175,26 @@ def test_far_field_derivatives_match_finite_differences(square_k5):
         )
 
 
+def test_far_field_product_agrees_across_the_threading_cut():
+    # value() runs a product above bem._THREADED_GEMM through scipy's BLAS
+    # and a smaller one through numpy's: both read rows @ modes, the
+    # smaller ones bit for bit
+    system = build_system(preset_shape("pentagon"), 10.0)
+    fields = system.solve_far_fields(np.linspace(0.1, 6.0, 45))
+    below = bem._THREADED_GEMM // fields.modes.size
+    assert below >= 2
+    for count in (1, below, below + 1, 200):
+        thetas = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+        for theta in (thetas, thetas + 0.02j):
+            for order in (0, 1, 2):
+                got = fields.value(theta, order)
+                want = fields.rows(theta, order) @ fields.modes
+                if count <= below:
+                    assert np.array_equal(got, want)
+                scale = float(np.max(np.abs(want)))
+                assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
+
+
 def test_far_field_is_entire_in_theta(square_k5):
     # complex observation angles feed the contour quadrature; values along a
     # short vertical segment must match a Taylor step from the real axis

@@ -26,6 +26,7 @@ from embedfar.cli import (
     write_csv,
 )
 from embedfar.coefficients import NoConvergence
+from embedfar.geometry import MAX_ANGLE_DENOMINATOR
 
 BRANCH_LABELS = {
     "naive",
@@ -299,6 +300,23 @@ def test_non_finite_flag_is_config_error(capsys):
     assert "alpha must be finite" in capsys.readouterr().err
 
 
+def test_sweep_solves_for_its_coefficients_once(monkeypatch, tmp_path):
+    # the naive curve and the reported norm share one coefficient solve;
+    # the stabilized sweep reads the same b from the coefficient map
+    solved = []
+    solve = cli.coefficients_for
+
+    def counted(system, alpha, *args, **kwargs):
+        solved.append(alpha)
+        return solve(system, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "coefficients_for", counted)
+    rc = main(["sweep", "--shape", "screen", "--k", "5", "--alpha", "1.0",
+               "--n-theta", "64", "--out", str(tmp_path / "sweep.csv")])
+    assert rc == EXIT_OK
+    assert solved == [1.0]
+
+
 def test_geometry_file_round_trip(tmp_path):
     geom = tmp_path / "screen.geom"
     geom.write_text("kind = screen\nvertex 0 0\nvertex 1 0\n")
@@ -334,6 +352,29 @@ def test_non_rational_geometry_is_config_error(tmp_path, capsys):
     rc = main(["sweep", "--geometry-file", str(geom)])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "denominator, code, message",
+    [(61, EXIT_NUMERICAL, "numerical failure"), (67, EXIT_CONFIG, "config error")],
+)
+def test_triangle_near_the_angle_denominator_cap_exits_cleanly(
+    denominator, code, message, tmp_path, capsys
+):
+    # apex angle pi/61 is rational under the cap, but at k = 1 its
+    # oversampled canonical set cannot span the M coefficients; pi/67 lies
+    # beyond the cap, so the angles do not count as rational
+    assert 61 <= MAX_ANGLE_DENOMINATOR < 67
+    apex = math.pi / denominator
+    geom = tmp_path / "sliver.geom"
+    geom.write_text(
+        "kind = polygon\nvertex 0 0\nvertex 1 0\n"
+        f"vertex {math.cos(apex)!r} {math.sin(apex)!r}\n"
+    )
+    rc = main(["sweep", "--geometry-file", str(geom), "--k", "1",
+               "--n-theta", "16", "--out", str(tmp_path / "sweep.csv")])
+    assert rc == code
+    assert message in capsys.readouterr().err
 
 
 def test_misordered_geometry_file_is_config_error(tmp_path, capsys):

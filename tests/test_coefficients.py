@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embedfar.coefficients as coefficients
+from embedfar.bem import FarField
 from embedfar.cli import ExperimentConfig, build_pipeline
 from embedfar.coefficients import (
+    DEFAULT_DELTA,
     ZeroColumnEncountered,
     build_system,
     canonical_angles,
@@ -386,3 +388,48 @@ def test_subset_operator_matches_direct_subsystem_solve(case):
         got = coefficients_for(system, float(alpha), strategy="two").values
         gap = float(np.linalg.norm(got - expected))
         assert gap <= 1e-13 * float(np.linalg.norm(expected))
+
+
+def test_trig_fields_value_is_rows_times_modes():
+    # the coefficient map reads the fake through rows and modes, the
+    # evaluator through value; both must give the same patterns
+    rng = np.random.default_rng(60)
+    fields = TrigFarFields(random_trig(rng, degree) for degree in (1, 3, 2))
+    thetas = np.array([0.0, 0.7, 4.1, 2.5 + 0.2j, 5.0 - 0.1j])
+    for order in (0, 1, 2):
+        want = fields.value(thetas, order)
+        got = fields.rows(thetas, order) @ fields.modes
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k", [5.0, 10.0])
+@pytest.mark.parametrize(
+    "shape", ["square", "equilateral", "isosceles-right", "pentagon", "screen"]
+)
+def test_tsvd_map_matches_pseudoinverse_solve(shape, k):
+    system = build_pipeline(ExperimentConfig(shape=shape, k=k)).matrix
+    pinv = tsvd_pseudoinverse(system.svd(), DEFAULT_DELTA)
+    for alpha in np.random.default_rng(62).uniform(0.0, TWO_PI, 20):
+        expected = pinv @ system.right_hand_side(alpha)
+        got = system.coefficients(float(alpha), "one", DEFAULT_DELTA)
+        gap = float(np.linalg.norm(got - expected))
+        assert gap <= 1e-10 * float(np.linalg.norm(expected))
+
+
+def test_naive_query_makes_one_far_field_call(monkeypatch):
+    # the coefficients come from the far-field row at alpha, so a point on
+    # the naive branch evaluates the patterns only at theta
+    pipeline = build_pipeline(ExperimentConfig(shape="pentagon", k=10.0))
+    calls = []
+    value = FarField.value
+
+    def counted(self, theta, order=0):
+        calls.append(np.size(theta))
+        return value(self, theta, order)
+
+    monkeypatch.setattr(FarField, "value", counted)
+    for theta, alpha in ((0.4, 2.0), (3.3, 0.9)):
+        calls.clear()
+        result, label = pipeline.evaluator.evaluate_with_branch(theta, alpha)
+        assert label == "naive"
+        assert calls == [1]
