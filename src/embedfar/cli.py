@@ -49,6 +49,7 @@ from .geometry import (
     load_geometry_file,
     preset_shape,
 )
+from .specialfun import MAX_RULE_SIZE
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,8 +114,8 @@ class ExperimentConfig:
             raise ConfigError("mtilde must be a positive integer")
         if not (0.0 < self.small_h < self.big_h):
             raise ConfigError("thresholds must satisfy 0 < small_h < big_h")
-        if self.contour_order < 2:
-            raise ConfigError("contour order must be at least 2")
+        if not 2 <= self.contour_order <= MAX_RULE_SIZE:
+            raise ConfigError(f"contour order must lie in [2, {MAX_RULE_SIZE}]")
         if self.n_theta < 1 or self.n_alpha < 1:
             raise ConfigError("grid sizes must be positive")
         if self.seed < 0:
@@ -123,8 +124,8 @@ class ExperimentConfig:
             raise ConfigError("elements_per_wavelength must be at least 2")
         if not (0.0 < self.grading < 1.0):
             raise ConfigError("grading must lie in (0, 1)")
-        if self.grading_layers < 0:
-            raise ConfigError("grading_layers must be nonnegative")
+        if self.grading_layers < 1:
+            raise ConfigError("grading_layers must be positive")
         return self
 
 
@@ -252,8 +253,20 @@ def load_shape(config):
     return preset_shape(config.shape)
 
 
-def build_pipeline(config, shape=None, canonical=None):
-    shape = load_shape(config) if shape is None else shape
+def _bem_system(config, shape, refinement=1.0):
+    """Boundary-element system for config's mesh settings, with the
+    elements per wavelength scaled by refinement."""
+    return build_bem_system(
+        shape,
+        config.k,
+        elements_per_wavelength=config.elements_per_wavelength * refinement,
+        grading_ratio=config.grading,
+        corner_layers=config.grading_layers,
+    )
+
+
+def build_pipeline(config, canonical=None):
+    shape = load_shape(config)
     if canonical is None:
         mtilde = config.mtilde or default_oversampling(shape.m)
         if mtilde < shape.m:
@@ -261,13 +274,7 @@ def build_pipeline(config, shape=None, canonical=None):
                 f"mtilde {mtilde} is below the coefficient count M = {shape.m}"
             )
         canonical = canonical_angles(mtilde)
-    system = build_bem_system(
-        shape,
-        config.k,
-        elements_per_wavelength=config.elements_per_wavelength,
-        grading_ratio=config.grading,
-        corner_layers=config.grading_layers,
-    )
+    system = _bem_system(config, shape)
     basis = EmbeddingBasis(
         p=shape.p, angles=canonical, far_fields=system.solve_far_fields(canonical)
     )
@@ -298,19 +305,9 @@ def make_evaluator(matrix, config):
     )
 
 
-def reference_system(pipeline, shape=None):
+def reference_system(pipeline):
     """Same solver with the mesh refined twice."""
-    config = pipeline.config
-    shape = pipeline.shape if shape is None else shape
-    return build_bem_system(
-        shape,
-        config.k,
-        elements_per_wavelength=(
-            config.elements_per_wavelength * _REFERENCE_REFINEMENT
-        ),
-        grading_ratio=config.grading,
-        corner_layers=config.grading_layers,
-    )
+    return _bem_system(pipeline.config, pipeline.shape, _REFERENCE_REFINEMENT)
 
 
 def relative_error(values, reference, axis=None):
@@ -345,26 +342,17 @@ def input_error(pipeline, ref_system, n=_ERROR_GRID_SIZE):
     )
 
 
-def output_error(pipeline, ref_system, alphas, n=_ERROR_GRID_SIZE):
-    """Largest per-incidence relative sup-norm error of the embedded
-    far field, each incidence normalized by its own reference peak."""
+def output_error(pipeline, ref_system, alphas, n=_ERROR_GRID_SIZE, axis=0):
+    """Relative sup-norm error of the embedded far field at the incidences
+    alphas over n equispaced observation angles.  With axis=0 each
+    incidence is normalized by its own reference peak and the worst
+    counts; with axis=None one global reference peak scales the grid."""
     thetas = _circle_grid(n)
     alphas = np.atleast_1d(alphas)
     return relative_error(
         sweep_columns(pipeline.evaluator, thetas, alphas),
         ref_system.solve_far_fields(alphas).value(thetas),
-        axis=0,
-    )
-
-
-def torus_output_error(pipeline, ref_system, n_theta, n_alpha):
-    """Relative sup-norm error of the embedded far field over the full
-    observation-incidence torus, both directions equispaced, normalized
-    by the global reference peak."""
-    thetas, alphas = _circle_grid(n_theta), _circle_grid(n_alpha)
-    return relative_error(
-        sweep_columns(pipeline.evaluator, thetas, alphas),
-        ref_system.solve_far_fields(alphas).value(thetas),
+        axis=axis,
     )
 
 
@@ -379,32 +367,23 @@ def naive_error_curve(basis, b, alpha, thetas, ref_values, scale):
     return err
 
 
-@dataclass
-class ErrorReport:
-    e_in: float
-    e_out: float
-    condition: float
-    coefficient_norm: float
-    branch_counts: dict
-    wall_time: float
-
-    @property
-    def ratio(self):
-        return self.e_out / self.e_in if self.e_in > 0 else math.inf
-
-    def lines(self):
-        counts = ", ".join(
-            f"{name}={count}"
-            for name, count in sorted(self.branch_counts.items())
-        )
-        return [
-            f"input error   {self.e_in:.3e}",
-            f"output error  {self.e_out:.3e}  (ratio {self.ratio:.3e})",
-            f"cond(A)       {self.condition:.3e}",
-            f"|b|_2         {self.coefficient_norm:.3e}",
-            f"branches      {counts}",
-            f"wall time     {self.wall_time:.1f} s",
-        ]
+def _report_lines(pipeline, ref, e_out, coefficient_norm, start):
+    """Run summary of sweep and grid: errors, conditioning, branch counts
+    and the wall time since start."""
+    e_in = input_error(pipeline, ref)
+    ratio = e_out / e_in if e_in > 0 else math.inf
+    counts = ", ".join(
+        f"{name}={count}"
+        for name, count in sorted(pipeline.evaluator.branch_counts.items())
+    )
+    return [
+        f"input error   {e_in:.3e}",
+        f"output error  {e_out:.3e}  (ratio {ratio:.3e})",
+        f"cond(A)       {pipeline.matrix.condition_number:.3e}",
+        f"|b|_2         {coefficient_norm:.3e}",
+        f"branches      {counts}",
+        f"wall time     {time.perf_counter() - start:.1f} s",
+    ]
 
 
 # CSV output -------------------------------------------------------------
@@ -442,11 +421,9 @@ def write_csv(path, command, config, header, rows, extra_metadata=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def _print_report(report, out_paths):
-    for line in report.lines():
+def _print_report(lines, out_paths):
+    for line in lines + [f"wrote {path}" for path in out_paths]:
         print(line)
-    for path in out_paths:
-        print(f"wrote {path}")
 
 
 # subcommands ------------------------------------------------------------
@@ -481,15 +458,12 @@ def cmd_sweep(config):
         rows,
         extra_metadata={"alpha": alpha, "boundary_elements": len(pipeline.system.mesh.lengths)},
     )
-    report = ErrorReport(
-        e_in=input_error(pipeline, ref),
-        e_out=float(np.max(stabilized)),
-        condition=pipeline.matrix.condition_number,
-        coefficient_norm=coeff.coefficient_norm,
-        branch_counts=dict(pipeline.evaluator.branch_counts),
-        wall_time=time.perf_counter() - start,
+    _print_report(
+        _report_lines(
+            pipeline, ref, float(np.max(stabilized)), coeff.coefficient_norm, start
+        ),
+        [out],
     )
-    _print_report(report, [out])
     return EXIT_OK
 
 
@@ -534,24 +508,18 @@ def cmd_grid(config):
         err_rows,
         extra_metadata={"spot_check_columns": " ".join(str(j) for j in picks)},
     )
-    report = ErrorReport(
-        e_in=input_error(pipeline, ref),
-        e_out=float(np.max(err)),
-        condition=pipeline.matrix.condition_number,
-        coefficient_norm=float(
-            np.median(
-                [
-                    coefficients_for(
-                        pipeline.matrix, float(a), config.strategy, config.delta
-                    ).coefficient_norm
-                    for a in alphas[picks]
-                ]
-            )
-        ),
-        branch_counts=dict(pipeline.evaluator.branch_counts),
-        wall_time=time.perf_counter() - start,
+    bnorm = np.median(
+        [
+            coefficients_for(
+                pipeline.matrix, float(a), config.strategy, config.delta
+            ).coefficient_norm
+            for a in alphas[picks]
+        ]
     )
-    _print_report(report, [out, err_out])
+    _print_report(
+        _report_lines(pipeline, ref, float(np.max(err)), float(bnorm), start),
+        [out, err_out],
+    )
     return EXIT_OK
 
 
@@ -581,16 +549,13 @@ def _screen_angles(mtilde):
     return np.asarray(_SCREEN_BASE_ANGLES + _SCREEN_EXTRA_ANGLES[: mtilde - 2])
 
 
-def _trial_error(matrix, config, alphas, reference, thetas):
-    """Output error and coefficient norm for config's solve strategy on a
-    fixed canonical system."""
-    worst = relative_error(
-        sweep_columns(make_evaluator(matrix, config), thetas, alphas),
-        reference,
-        axis=0,
-    )
+def _trial_error(base, config, ref, alphas):
+    """Output error and coefficient norm for config's solve strategy on
+    base's canonical system."""
+    trial = replace(base, evaluator=make_evaluator(base.matrix, config))
+    worst = output_error(trial, ref, alphas)
     bnorm = coefficients_for(
-        matrix, float(alphas[0]), config.strategy, config.delta
+        base.matrix, float(alphas[0]), config.strategy, config.delta
     ).coefficient_norm
     return worst, bnorm
 
@@ -612,7 +577,6 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
         "cond",
         "status",
     ]
-    thetas = _circle_grid(_ERROR_GRID_SIZE)
     rng = np.random.default_rng(config.seed)
     test_alphas = rng.uniform(0.0, 2.0 * np.pi, 3)
     trials = [
@@ -637,7 +601,6 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
             base = build_pipeline(study_config, canonical=angles)
             if ref is None:
                 ref = reference_system(base)
-                reference = ref.solve_far_fields(test_alphas).value(thetas)
             e_in = input_error(base, ref)
             # below np.linalg.matrix_rank's tolerance the set is rank
             # deficient and any finite cond(A) is rounding noise
@@ -648,9 +611,7 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
                 cond = base.matrix.condition_number
             for trial in trials:
                 try:
-                    e_out, bnorm = _trial_error(
-                        base.matrix, trial, test_alphas, reference, thetas
-                    )
+                    e_out, bnorm = _trial_error(base, trial, ref, test_alphas)
                     status = "ok"
                 except (ZeroColumnEncountered, SingularSubmatrix):
                     # rank-deficient canonical set: report total failure
@@ -686,36 +647,30 @@ def cmd_table(config, k_list, shape_list, epw_list):
         raise ConfigError("table needs at least one k, shape and epw value")
     # every row's config is checked before the first solve
     problems = [
-        (shape_name, float(k), [
+        [
             replace(
                 config, shape=shape_name, geometry_file=None, k=float(k),
                 elements_per_wavelength=float(epw),
             ).validate()
             for epw in epw_list
-        ])
+        ]
         for shape_name in shape_list
         for k in k_list
     ]
+    alphas = _circle_grid(config.n_alpha)
     rows = []
-    for shape_name, k, trials in problems:
-        shape = preset_shape(shape_name)
-        ref = build_bem_system(
-            shape,
-            k,
-            elements_per_wavelength=max(epw_list) * _REFERENCE_REFINEMENT,
-            grading_ratio=config.grading,
-            corner_layers=config.grading_layers,
-        )
+    for trials in problems:
+        # one reference per problem, refined from its finest mesh
+        finest = max(trials, key=lambda trial: trial.elements_per_wavelength)
+        ref = _bem_system(finest, load_shape(finest), _REFERENCE_REFINEMENT)
         for trial in trials:
-            pipeline = build_pipeline(trial, shape=shape)
+            pipeline = build_pipeline(trial)
             e_in = input_error(pipeline, ref)
-            e_out = torus_output_error(
-                pipeline, ref, config.n_theta, config.n_alpha
-            )
+            e_out = output_error(pipeline, ref, alphas, config.n_theta, axis=None)
             rows.append(
                 (
-                    k,
-                    shape_name,
+                    trial.k,
+                    trial.shape,
                     len(pipeline.system.mesh.lengths),
                     e_in,
                     e_out,
@@ -821,16 +776,9 @@ def _add_common_flags(parser):
     parser.add_argument("--seed", type=int, default=None)
 
 
-def _parse_float_list(text, flag):
+def _parse_list(text, flag, kind=float):
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-
-
-def _parse_int_list(text, flag):
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
 
@@ -884,10 +832,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.strategy is not None:
-            try:
-                args.strategy = _normalize_strategy(args.strategy)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            # argparse's choices admit only spellings this maps
+            args.strategy = _normalize_strategy(args.strategy)
         # full-torus grids default to 200x200; denser only on request
         if args.command in ("grid", "table"):
             defaults = {"n_theta": 200}
@@ -901,15 +847,15 @@ def main(argv=None):
         if args.command == "study-oversampling":
             return cmd_oversampling_study(
                 config,
-                _parse_int_list(args.mtilde_list, "--mtilde-list"),
-                _parse_float_list(args.delta_list, "--delta-list"),
+                _parse_list(args.mtilde_list, "--mtilde-list", int),
+                _parse_list(args.delta_list, "--delta-list"),
             )
         if args.command == "table":
             return cmd_table(
                 config,
-                _parse_float_list(args.k_list, "--k-list"),
-                [s.strip() for s in args.shape_list.split(",") if s.strip()],
-                _parse_float_list(args.epw_list, "--epw-list"),
+                _parse_list(args.k_list, "--k-list"),
+                _parse_list(args.shape_list, "--shape-list", str.strip),
+                _parse_list(args.epw_list, "--epw-list"),
             )
         if args.command == "selftest":
             return cmd_selftest(config)

@@ -206,55 +206,31 @@ def _normalize(v, closed):
     return out
 
 
-def shape_from_vertices(
-    vertices,
-    kind="polygon",
-    angle_tolerance=DEFAULT_ANGLE_TOLERANCE,
-    normalize=True,
-):
-    """Validate raw vertices and build the rational shape.
+def shape_from_vertices(vertices, kind="polygon"):
+    """Validate raw vertices and build the normalized rational shape.
 
-    Parameters
-    ----------
-    vertices : (n, 2) array-like
-        Polygon corners in order (either orientation), or the two screen
-        endpoints.
-    kind : {"polygon", "screen"}
-    angle_tolerance : float
-        Largest tolerated distance from each exterior angle to its rational
-        representative.
-    normalize : bool
-        Rotate/translate onto the canonical edge-on-axis pose.  Disable only
-        for solver-level experiments that need the raw geometry.
+    vertices are the polygon corners in order (either orientation), or the
+    two screen endpoints; kind is "polygon" or "screen".
     """
     if kind not in ("polygon", "screen"):
         raise ValueError(f"kind must be 'polygon' or 'screen', got {kind!r}")
     v = _as_vertex_array(vertices)
-
-    if kind == "screen":
-        if len(v) != 2:
-            raise ValueError("a screen is defined by exactly two endpoints")
-        _check_edges(v, closed=False)
-        angles = (RationalAngle(2, 1), RationalAngle(2, 1))
-    else:
-        if len(v) < 3:
-            raise ValueError("a polygon needs at least three vertices")
-        _check_edges(v, closed=True)
+    closed = kind == "polygon"
+    if closed and len(v) < 3:
+        raise ValueError("a polygon needs at least three vertices")
+    if not closed and len(v) != 2:
+        raise ValueError("a screen is defined by exactly two endpoints")
+    _check_edges(v, closed)
+    if closed:
         _check_simple(v)
         if _signed_area(v) < 0.0:
             v = v[::-1].copy()
-        angles = tuple(
-            rationalize_angle(w, angle_tolerance) for w in _exterior_angles(v)
-        )
+    v = _normalize(v, closed)
 
-    if normalize:
-        v = _normalize(v, closed=(kind == "polygon"))
-        if kind == "polygon":
-            # angle order follows the relabeled vertices
-            angles = tuple(
-                rationalize_angle(w, angle_tolerance) for w in _exterior_angles(v)
-            )
-
+    if closed:
+        angles = tuple(rationalize_angle(w) for w in _exterior_angles(v))
+    else:
+        angles = (RationalAngle(2, 1), RationalAngle(2, 1))
     p, q, m = derive_rational_data(angles)
     return RationalShape(
         vertices=v, kind=kind, exterior_angles=angles, p=p, q=q, m=m

@@ -22,6 +22,8 @@ _SERIES_CUTOFF = 12.0
 _SERIES_TERMS = 80
 _ASYMPTOTIC_TERMS = 40
 
+MAX_RULE_SIZE = 200  # largest Gauss-Legendre rule gauss_legendre builds
+
 
 class OverdeterminedConstraints(ValueError):
     """More interpolation conditions than a quadratic can satisfy."""
@@ -154,10 +156,10 @@ def gauss_legendre(n):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Nodes come out ascending; exactness holds through degree 2n-1 to ~1e-13.
-    Valid for 1 <= n <= 200.
+    Valid for 1 <= n <= MAX_RULE_SIZE.
     """
-    if not 1 <= n <= 200:
-        raise ValueError(f"rule size must be in [1, 200], got {n}")
+    if not 1 <= n <= MAX_RULE_SIZE:
+        raise ValueError(f"rule size must be in [1, {MAX_RULE_SIZE}], got {n}")
     if n in _RULE_CACHE:
         x, w = _RULE_CACHE[n]
         return x.copy(), w.copy()

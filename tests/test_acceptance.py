@@ -21,7 +21,6 @@ from embedfar.cli import (
     naive_error_curve,
     output_error,
     reference_system,
-    torus_output_error,
 )
 from embedfar.coefficients import (
     ZeroColumnEncountered,
@@ -347,6 +346,7 @@ def test_criterion_06_stabilization_headline():
 def test_criterion_07_embedding_conditioning():
     start = time.perf_counter()
     refinements = [4.0, 8.0, 16.0]
+    grid = np.linspace(0.0, TWO_PI, 200, endpoint=False)
     rows = []
     ok = True
     for shape_name in ("square", "equilateral"):
@@ -363,7 +363,7 @@ def test_criterion_07_embedding_conditioning():
         for epw in refinements:
             pipeline = build_pipeline(replace(config, elements_per_wavelength=epw))
             e_in = input_error(pipeline, ref)
-            e_out = torus_output_error(pipeline, ref, 200, 200)
+            e_out = output_error(pipeline, ref, grid, 200, axis=None)
             ratio = e_out / e_in
             e_ins.append(e_in)
             rows.append((shape_name, epw, e_in, e_out, ratio))

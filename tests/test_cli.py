@@ -123,11 +123,13 @@ def test_validate_rejects_bad_configs():
         {"mtilde": 0},
         {"big_h": 0.01, "small_h": 0.15},
         {"contour_order": 1},
+        {"contour_order": 201},
         {"n_theta": 0},
         {"seed": -1},
         {"elements_per_wavelength": 1.0},
         {"grading": 1.5},
         {"grading_layers": -1},
+        {"grading_layers": 0},
         {"alpha": float("nan")},
         {"alpha": float("inf")},
         {"delta": float("nan")},
@@ -155,7 +157,8 @@ def test_output_errors_propagate_nan(square_k5):
 
     pipeline = SimpleNamespace(evaluator=NanEvaluator())
     assert math.isnan(cli.output_error(pipeline, square_k5, [0.4, 2.0], n=50))
-    assert math.isnan(cli.torus_output_error(pipeline, square_k5, 20, 4))
+    alphas = np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+    assert math.isnan(cli.output_error(pipeline, square_k5, alphas, n=20, axis=None))
 
 
 def test_write_csv_deterministic_and_metadata(tmp_path):
@@ -274,6 +277,16 @@ def test_invalid_strategy_flag_is_rejected(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Fails a test whose config reaches the boundary-element solver."""
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver ran before the config was checked")
+
+    monkeypatch.setattr(cli, "build_bem_system", no_solve)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -285,12 +298,19 @@ def test_invalid_strategy_flag_is_rejected(capsys):
         ["table", "--epw-list", ""],
     ],
 )
-def test_bad_experiment_lists_are_config_errors(argv, monkeypatch, capsys):
-    # each is rejected before the first boundary-element solve
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solver ran before the config was checked")
+def test_bad_experiment_lists_are_config_errors(argv, no_solver, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
-    monkeypatch.setattr(cli, "build_bem_system", no_solve)
+
+@pytest.mark.parametrize(
+    "line", ["bem.layers = 0", "embedding.contour_order = 500"]
+)
+def test_config_file_limits_are_config_errors(line, tmp_path, no_solver, capsys):
+    # the mesh and the contour quadrature would reject these only later
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    argv = ["sweep", "--shape", "square", "--k", "5", "--config", str(path)]
     assert main(argv) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
