@@ -36,7 +36,7 @@ from .geometry import (
     preset_shape,
     shape_from_vertices,
 )
-from .specialfun import gauss_legendre, hankel1, quadratic_interpolate
+from .specialfun import gauss_legendre, hankel1
 
 __all__ = [
     "__version__",
@@ -63,5 +63,4 @@ __all__ = [
     "shape_from_vertices",
     "gauss_legendre",
     "hankel1",
-    "quadratic_interpolate",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 import typing
@@ -43,6 +44,7 @@ from .embedding import (
     PoleOnContour,
     StabilizedEvaluator,
     lambda_weight,
+    naive_eval,
 )
 from .geometry import (
     PRESET_NAMES,
@@ -126,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError("grading must lie in (0, 1)")
         if self.grading_layers < 1:
             raise ConfigError("grading_layers must be positive")
+        if self.out is not None and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ConfigError(f"directory of out {self.out!r} does not exist")
         return self
 
 
@@ -359,11 +363,9 @@ def output_error(pipeline, ref_system, alphas, n=_ERROR_GRID_SIZE, axis=0):
 def naive_error_curve(basis, b, alpha, thetas, ref_values, scale):
     """Relative error of the naive quotient with coefficients b, +inf
     exactly on the poles."""
-    lam = lambda_weight(thetas, alpha, basis.p)
-    numerator = basis.numerator(b, thetas)
+    ok = np.abs(lambda_weight(thetas, alpha, basis.p)) > 1e-12
     err = np.full(len(thetas), np.inf)
-    ok = np.abs(lam) > 1e-12
-    err[ok] = np.abs(numerator[ok] / lam[ok] - ref_values[ok]) / scale
+    err[ok] = np.abs(naive_eval(basis, b, thetas[ok], alpha) - ref_values[ok]) / scale
     return err
 
 
@@ -417,8 +419,11 @@ def write_csv(path, command, config, header, rows, extra_metadata=None):
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(cell) for cell in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _print_report(lines, out_paths):

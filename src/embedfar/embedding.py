@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specialfun import (
-    QuadraticInterpolant,
-    gauss_legendre,
-    quadratic_interpolate,
-)
+from .specialfun import QuadraticInterpolant, gauss_legendre
 
 DEFAULT_NEAR_THRESHOLD = 0.15  # outer radius H: below it, corrections kick in
 DEFAULT_CLUSTER_THRESHOLD = 0.01  # inner radius h: below it, contours kick in
@@ -243,7 +239,7 @@ def naive_eval(basis, coefficients, theta, alpha):
     Raises PoleAtTheta when |Lambda(theta, alpha)| <= 1e-12.
     """
     lam = lambda_weight(theta, alpha, basis.p)
-    if np.min(np.abs(lam)) <= 1e-12:
+    if np.any(np.abs(lam) <= 1e-12):
         raise PoleAtTheta(f"Lambda vanishes at theta={theta!r}")
     return basis.numerator(coefficients, theta) / lam
 
@@ -267,16 +263,10 @@ class RectContour:
     right: float
     half_height: float
 
-    def contains(self, x):
-        return (
-            self.left < x.real < self.right and abs(x.imag) < self.half_height
-        )
-
-    def horizontal_gap(self, x):
-        """Distance from a real point to the nearest vertical edge."""
-        if self.left <= x <= self.right:
-            return min(x - self.left, self.right - x)
-        return max(self.left - x, x - self.right)
+    def reaches(self, x):
+        """Whether the real point x lies in [left, right] or within half
+        the half-height of it, too close to the edges to stay outside."""
+        return max(self.left - x, x - self.right) < 0.5 * self.half_height
 
     def quadrature(self, order):
         """Counterclockwise quadrature nodes and complex dz-weights."""
@@ -323,14 +313,15 @@ def contour_eval(numerator_fn, theta, alpha, p, contour, order=DEFAULT_CONTOUR_O
 
 
 def _fit_quadratic(theta, th0, th1, is_double, at_theta, at_th0, at_th1):
-    """Quadratic fit of the numerator at {theta, theta0, theta0'} from its
-    values there; at_th0 holds the value at theta0 and, where needed, its
-    first and second derivatives.
+    """Quadratic fit of the numerator at {theta, theta0, theta0'} in Newton
+    form, from its values there; at_th0 holds the value at theta0 and,
+    where needed, its first and second derivatives.
 
     Nodes closer together than the confluence gate are merged into
     derivative conditions at theta0 (all three merging into a local
     Taylor polynomial), which keeps the divided differences clear of
-    catastrophic cancellation.
+    catastrophic cancellation.  theta0 is the zero nearest theta, so nodes
+    left distinct are more than _CONFLUENT apart.
     """
     confluent = is_double or abs(th0 - th1) <= _CONFLUENT
     theta_hits_pole = abs(theta - th0) <= _CONFLUENT
@@ -343,15 +334,17 @@ def _fit_quadratic(theta, th0, th1, is_double, at_theta, at_th0, at_th1):
                 0.5 * complex(at_th0[2]),
             ),
         )
+    f0 = complex(at_th0[0])
     if theta_hits_pole or confluent:
-        other, at_other = (th1, at_th1) if theta_hits_pole else (theta, at_theta)
-        return quadratic_interpolate(
-            [th0, other],
-            [at_th0[0], at_other],
-            derivative_node=th0,
-            derivative_value=complex(at_th0[1]),
-        )
-    return quadratic_interpolate([theta, th0, th1], [at_theta, at_th0[0], at_th1])
+        # nodes (theta0, theta0, x): value and slope at theta0, value at x
+        x, fx = (th1, at_th1) if theta_hits_pole else (theta, at_theta)
+        slope = complex(at_th0[1])
+        c2 = ((complex(fx) - f0) / (x - th0) - slope) / (x - th0)
+        return QuadraticInterpolant((th0, th0, x), (f0, slope, c2))
+    f_theta = complex(at_theta)
+    c1 = (f0 - f_theta) / (th0 - theta)
+    c2 = ((complex(at_th1) - f0) / (th1 - th0) - c1) / (th1 - theta)
+    return QuadraticInterpolant((theta, th0, th1), (f_theta, c1, c2))
 
 
 @dataclass
@@ -508,9 +501,7 @@ class StabilizedEvaluator:
 
         # moderate distance from a clustered pair or a double zero
         contour = rect_contour(xs, small_h)
-        if contour.contains(complex(theta)) or contour.horizontal_gap(
-            theta
-        ) < 0.5 * small_h:
+        if contour.reaches(theta):
             value, _ = self._contour_value(rho, theta, alpha, xs, th1, is_double)
             return value, "contour:full"
         correction = contour_eval(rho, theta, alpha, p, contour, self.contour_order)
@@ -522,13 +513,9 @@ class StabilizedEvaluator:
         value and whether th1 was pulled in."""
         contour = rect_contour([theta] + xs, self.cluster_threshold)
         pulled = False
-        if th1 not in xs and not is_double:
-            gap = contour.horizontal_gap(th1)
-            if contour.contains(complex(th1)) or gap < 0.5 * self.cluster_threshold:
-                pulled = True
-                contour = rect_contour(
-                    [theta] + xs + [th1], self.cluster_threshold
-                )
+        if th1 not in xs and not is_double and contour.reaches(th1):
+            pulled = True
+            contour = rect_contour([theta] + xs + [th1], self.cluster_threshold)
         value = contour_eval(
             rho, theta, alpha, self.basis.p, contour, self.contour_order
         )

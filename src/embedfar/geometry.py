@@ -35,26 +35,6 @@ class DegenerateEdge(ValueError):
 
 
 @dataclass(frozen=True)
-class RationalAngle:
-    """Angle numerator*pi/denominator in lowest terms, in (pi, 2*pi]."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator <= 0 or self.numerator <= 0:
-            raise ValueError("numerator and denominator must be positive")
-        if math.gcd(self.numerator, self.denominator) != 1:
-            raise ValueError("fraction must be in lowest terms")
-        if not self.denominator < self.numerator <= 2 * self.denominator:
-            raise ValueError("angle must lie in (pi, 2*pi]")
-
-    @property
-    def value(self):
-        return math.pi * self.numerator / self.denominator
-
-
-@dataclass(frozen=True)
 class RationalShape:
     """Normalized rational polygon or screen.
 
@@ -67,7 +47,7 @@ class RationalShape:
 
     vertices: np.ndarray
     kind: str
-    exterior_angles: tuple[RationalAngle, ...]
+    exterior_angles: tuple[Fraction, ...]  # multiples of pi
     p: int
     q: tuple[int, ...]
     m: int
@@ -86,7 +66,7 @@ class RationalShape:
 
 
 def derive_rational_data(angles):
-    """(p, q, m) for a sequence of RationalAngle exterior angles.
+    """(p, q, m) for a sequence of exterior angles, Fractions of pi.
 
     p is the least common multiple of the reduced denominators, q_j the
     integer angle counts, and m = sum(q_j - 1).
@@ -103,10 +83,11 @@ def derive_rational_data(angles):
 
 
 def rationalize_angle(omega, tolerance=DEFAULT_ANGLE_TOLERANCE):
-    """Nearest rational multiple of pi with denominator <= 64.
+    """Nearest rational multiple of pi with denominator <= 64, as the
+    reduced Fraction omega / pi.
 
     Raises NonRationalAngle when no such fraction lies within tolerance, and
-    ValueError when omega is outside (pi, 2*pi].
+    ValueError when omega or the fraction is outside (pi, 2*pi].
     """
     if not math.pi < omega <= 2.0 * math.pi + 1e-12:
         raise ValueError(
@@ -120,7 +101,9 @@ def rationalize_angle(omega, tolerance=DEFAULT_ANGLE_TOLERANCE):
             f"exterior angle {omega!r} is {abs(approx - omega):.2e} away from "
             f"the nearest pi*{frac.numerator}/{frac.denominator}"
         )
-    return RationalAngle(frac.numerator, frac.denominator)
+    if frac <= 1:  # a nearly straight corner rounds to pi itself
+        raise ValueError(f"exterior angle {omega!r} rounds to pi, outside (pi, 2*pi]")
+    return frac
 
 
 def _as_vertex_array(vertices):
@@ -230,7 +213,7 @@ def shape_from_vertices(vertices, kind="polygon"):
     if closed:
         angles = tuple(rationalize_angle(w) for w in _exterior_angles(v))
     else:
-        angles = (RationalAngle(2, 1), RationalAngle(2, 1))
+        angles = (Fraction(2), Fraction(2))
     p, q, m = derive_rational_data(angles)
     return RationalShape(
         vertices=v, kind=kind, exterior_angles=angles, p=p, q=q, m=m

@@ -1,6 +1,6 @@
 """Self-contained special-function kernels: Hankel functions of the first kind
-of orders zero and one, Gauss-Legendre quadrature rules, and quadratic
-interpolation with optional derivative (Hermite) constraints.
+of orders zero and one, Gauss-Legendre quadrature rules, and the Newton-form
+quadratic that the near-pole contour integrals integrate.
 
 Everything here is evaluated from scratch (power series, asymptotic series,
 Newton iteration) so that accuracy can be audited against high-precision
@@ -23,14 +23,6 @@ _SERIES_TERMS = 80
 _ASYMPTOTIC_TERMS = 40
 
 MAX_RULE_SIZE = 200  # largest Gauss-Legendre rule gauss_legendre builds
-
-
-class OverdeterminedConstraints(ValueError):
-    """More interpolation conditions than a quadratic can satisfy."""
-
-
-class CoincidentNodesWithoutDerivative(ValueError):
-    """Repeated interpolation nodes need a derivative constraint instead."""
 
 
 def _harmonic_numbers(count):
@@ -186,10 +178,12 @@ def gauss_legendre(n):
 
 @dataclass(frozen=True)
 class QuadraticInterpolant:
-    """Polynomial of degree <= 2 in Newton form.
+    """Polynomial of degree <= 2 in Newton form,
+    c0 + (z - n0) (c1 + (z - n1) c2).
 
-    newton_nodes holds the (possibly confluent) Newton sequence, padded with
-    zeros when fewer than three conditions were supplied.
+    newton_nodes holds three nodes, repeated where derivative conditions
+    stand in for values (all three equal for a Taylor polynomial); the
+    last one does not enter the value.
     """
 
     newton_nodes: tuple
@@ -199,88 +193,3 @@ class QuadraticInterpolant:
         z = np.asarray(z)
         n, c = self.newton_nodes, self.newton_coeffs
         return c[0] + (z - n[0]) * (c[1] + (z - n[1]) * c[2])
-
-    def derivative(self, z):
-        z = np.asarray(z)
-        n, c = self.newton_nodes, self.newton_coeffs
-        return c[1] + c[2] * ((z - n[0]) + (z - n[1]))
-
-
-def _close(a, b):
-    return abs(a - b) <= 1e-13 * max(1.0, abs(a), abs(b))
-
-
-def quadratic_interpolate(nodes, values, derivative_node=None, derivative_value=None):
-    """Interpolating polynomial of degree <= 2 through the given data.
-
-    Parameters
-    ----------
-    nodes, values : sequences of length 2 or 3
-        Pairwise-distinct interpolation nodes and the values there.
-    derivative_node, derivative_value : optional
-        One extra Hermite condition rho'(derivative_node) = derivative_value;
-        derivative_node must coincide with one of the nodes.
-
-    Raises
-    ------
-    OverdeterminedConstraints
-        If more than three conditions are supplied.
-    CoincidentNodesWithoutDerivative
-        If two nodes coincide; confluence must be expressed through the
-        derivative constraint instead.
-    """
-    nodes = list(nodes)
-    values = [complex(v) for v in values]
-    if len(nodes) != len(values):
-        raise ValueError("nodes and values must have equal length")
-    has_derivative = derivative_node is not None
-    conditions = len(nodes) + has_derivative
-    if conditions > 3:
-        raise OverdeterminedConstraints(
-            f"{conditions} conditions cannot be met by a quadratic"
-        )
-    if conditions < 2:
-        raise ValueError("need at least two interpolation conditions")
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if _close(nodes[i], nodes[j]):
-                raise CoincidentNodesWithoutDerivative(
-                    "coincident nodes: drop the duplicate and pass the "
-                    "derivative constraint instead"
-                )
-
-    if has_derivative:
-        if derivative_value is None:
-            raise ValueError("derivative_value required with derivative_node")
-        pivot = None
-        for i, node in enumerate(nodes):
-            if _close(node, derivative_node):
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("derivative_node must coincide with a node")
-        d = nodes[pivot]
-        fd = values[pivot]
-        rest_nodes = [nodes[i] for i in range(len(nodes)) if i != pivot]
-        rest_values = [values[i] for i in range(len(nodes)) if i != pivot]
-        seq = [d, d] + rest_nodes
-        c0 = fd
-        c1 = complex(derivative_value)
-        if rest_nodes:
-            slope = (rest_values[0] - fd) / (rest_nodes[0] - d)
-            c2 = (slope - c1) / (rest_nodes[0] - d)
-        else:
-            c2 = 0.0
-            seq.append(d)
-        return QuadraticInterpolant(tuple(seq[:3]), (c0, c1, complex(c2)))
-
-    seq = list(nodes)
-    c0 = values[0]
-    c1 = (values[1] - values[0]) / (seq[1] - seq[0])
-    if len(seq) == 3:
-        slope12 = (values[2] - values[1]) / (seq[2] - seq[1])
-        c2 = (slope12 - c1) / (seq[2] - seq[0])
-    else:
-        c2 = 0.0
-        seq.append(seq[1])
-    return QuadraticInterpolant(tuple(seq[:3]), (c0, complex(c1), complex(c2)))

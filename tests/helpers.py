@@ -15,19 +15,15 @@ import numpy as np
 
 from embedfar.bem import _NEAR_QUAD_ORDER, _smooth_kernel_part, hankel1
 from embedfar.embedding import (
-    _CONFLUENT,
     _EXACT,
     DoublePoleInSimpleBranch,
+    _fit_quadratic,
     contour_eval,
     naive_eval,
     pole_environment,
     rect_contour,
 )
-from embedfar.specialfun import (
-    QuadraticInterpolant,
-    gauss_legendre,
-    quadratic_interpolate,
-)
+from embedfar.specialfun import gauss_legendre
 
 
 class TrigFarField:
@@ -167,30 +163,19 @@ def residue_eval(basis, b, theta, alpha, include):
 
 def _scalar_quadratic(basis, b, theta, env):
     th0, th1 = env.theta0, env.theta0_prime
-    confluent = env.is_double or abs(th0 - th1) <= _CONFLUENT
-    theta_hits_pole = abs(theta - th0) <= _CONFLUENT
+    at_th0 = [basis.numerator(b, th0, order=j) for j in range(3)]
+    return _fit_quadratic(
+        theta, th0, th1, env.is_double,
+        basis.numerator(b, theta), at_th0, basis.numerator(b, th1),
+    )
 
-    if theta_hits_pole and confluent:
-        value = complex(basis.numerator(b, th0))
-        slope = complex(basis.numerator(b, th0, order=1))
-        half_curv = 0.5 * complex(basis.numerator(b, th0, order=2))
-        return QuadraticInterpolant(
-            newton_nodes=(th0, th0, th0),
-            newton_coeffs=(value, slope, half_curv),
-        )
-    if theta_hits_pole or confluent:
-        other = th1 if theta_hits_pole else theta
-        nodes = [th0, other]
-        vals = [basis.numerator(b, z) for z in nodes]
-        return quadratic_interpolate(
-            nodes,
-            vals,
-            derivative_node=th0,
-            derivative_value=complex(basis.numerator(b, th0, order=1)),
-        )
-    nodes = [theta, th0, th1]
-    vals = [basis.numerator(b, z) for z in nodes]
-    return quadratic_interpolate(nodes, vals)
+
+def _near_rectangle(contour, x, small_h):
+    """The rectangle test in two parts: x inside the open span, or closer
+    than small_h / 2 to the nearer vertical edge."""
+    inside = contour.left < x < contour.right
+    gap = min(abs(x - contour.left), abs(x - contour.right))
+    return inside or gap < 0.5 * small_h
 
 
 def _scalar_contour_value(evaluator, b, theta, alpha, xs, env):
@@ -199,9 +184,7 @@ def _scalar_contour_value(evaluator, b, theta, alpha, xs, env):
     contour = rect_contour([theta] + xs, small_h)
     extra = []
     if env.theta0_prime not in xs and not env.is_double:
-        gap = contour.horizontal_gap(env.theta0_prime)
-        inside = contour.contains(complex(env.theta0_prime))
-        if inside or gap < 0.5 * small_h:
+        if _near_rectangle(contour, env.theta0_prime, small_h):
             extra = [env.theta0_prime]
             contour = rect_contour([theta] + xs + extra, small_h)
     value = contour_eval(
@@ -242,9 +225,7 @@ def scalar_dispatch(evaluator, theta, alpha):
     if env.is_double or d01 < small_h:
         xs = [th0] if env.is_double else [th0, th1]
         contour = rect_contour(xs, small_h)
-        if contour.contains(complex(theta)) or contour.horizontal_gap(
-            theta
-        ) < 0.5 * small_h:
+        if _near_rectangle(contour, theta, small_h):
             value, _ = _scalar_contour_value(evaluator, b, theta, alpha, xs, env)
             return value, "contour:full"
         rho = _scalar_quadratic(basis, b, theta, env)

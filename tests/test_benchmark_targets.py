@@ -1,16 +1,19 @@
-"""The benchmark's per-layer trace wraps package functions by name; every
-name it wraps must still exist."""
+"""The benchmark wraps package functions by name in its per-layer trace and
+calls cli functions in its workloads; every such name must still exist."""
 
 import importlib
 import re
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+import embedfar.cli as cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_trace_targets_resolve():
     # read as text, so the check needs nothing from perfbench itself
-    targets = re.findall(r"[\"'](embedfar\.\w+):([\w.]+)[\"']", LAYERS.read_text())
+    text = (PERFBENCH / "layers.py").read_text()
+    targets = re.findall(r"[\"'](embedfar\.\w+):([\w.]+)[\"']", text)
     assert targets
     missing = []
     for module_name, path in targets:
@@ -19,4 +22,11 @@ def test_trace_targets_resolve():
             obj = getattr(obj, attr, None)
         if obj is None:
             missing.append(f"{module_name}:{path}")
+    assert not missing, missing
+
+
+def test_workload_cli_names_resolve():
+    names = set(re.findall(r"\bcli\.(\w+)", (PERFBENCH / "workloads.py").read_text()))
+    assert {"ExperimentConfig", "build_pipeline", "write_csv"} <= names
+    missing = sorted(name for name in names if not hasattr(cli, name))
     assert not missing, missing

@@ -315,6 +315,20 @@ def test_config_file_limits_are_config_errors(line, tmp_path, no_solver, capsys)
     assert "config error" in capsys.readouterr().err
 
 
+def test_out_in_missing_directory_is_config_error(tmp_path, no_solver, capsys):
+    out = tmp_path / "missing" / "sweep.csv"
+    assert main(["sweep", "--shape", "square", "--out", str(out)]) == EXIT_CONFIG
+    assert "does not exist" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    # a directory passes the early check and fails only at the write
+    argv = ["sweep", "--shape", "screen", "--k", "1", "--n-theta", "8",
+            "--out", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_non_finite_flag_is_config_error(capsys):
     assert main(["sweep", "--alpha", "nan"]) == EXIT_CONFIG
     assert "alpha must be finite" in capsys.readouterr().err
@@ -372,6 +386,18 @@ def test_non_rational_geometry_is_config_error(tmp_path, capsys):
     rc = main(["sweep", "--geometry-file", str(geom)])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_nearly_straight_corner_is_config_error(tmp_path, no_solver, capsys):
+    # the corner at (1, 0) turns by 1e-9 and rounds to a straight angle
+    geom = tmp_path / "straight.geom"
+    geom.write_text(
+        "kind = polygon\nvertex 0 0\nvertex 1 0\nvertex 2 1e-9\n"
+        "vertex 2 1\nvertex 0 1\n"
+    )
+    rc = main(["sweep", "--geometry-file", str(geom)])
+    assert rc == EXIT_CONFIG
+    assert "rounds to pi" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

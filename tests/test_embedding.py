@@ -11,12 +11,14 @@ from embedfar.embedding import (
     _CONFLUENT,
     _EXACT,
     DEFAULT_CLUSTER_THRESHOLD,
+    DEFAULT_CONTOUR_ORDER,
     DEFAULT_NEAR_THRESHOLD,
     DoublePoleInSimpleBranch,
     EmbeddingBasis,
     PoleAtTheta,
     PoleOnContour,
     StabilizedEvaluator,
+    _fit_quadratic,
     angle_distance,
     contour_eval,
     error_constant,
@@ -230,6 +232,69 @@ def test_contour_eval_rejects_pole_too_close_to_contour():
     contour = rect_contour([chi], 1e-13)
     with pytest.raises(PoleOnContour):
         contour_eval(lambda z: np.ones_like(z), chi - 0.5, alpha, p, contour)
+
+
+# (theta, theta0, theta0', is_double) for each form of the near-pole fit:
+# three distinct nodes, the two merged forms (theta0, theta0, x), and the
+# Taylor polynomial at theta0
+_FIT_CASES = {
+    "distinct": (0.31, 0.35, 0.42, False),
+    "theta-on-theta0": (0.35 + 4e-6, 0.35, 0.42, False),
+    "theta0prime-on-theta0": (0.31, 0.35, 0.35 + 4e-6, False),
+    "double-zero": (0.31, 0.35, 0.35, True),
+    "theta-on-double-zero": (0.35 + 4e-6, 0.35, 0.35, True),
+}
+
+_complex_values = st.complex_numbers(
+    max_magnitude=10.0, allow_nan=False, allow_infinity=False
+)
+
+
+def _fit(f, theta, th0, th1, is_double):
+    """_fit_quadratic from f(z, order) at the nodes, as the evaluator
+    supplies it."""
+    at_th0 = [complex(f(th0, j)) for j in range(3)]
+    return _fit_quadratic(
+        theta, th0, th1, is_double, complex(f(theta, 0)), at_th0, complex(f(th1, 0))
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_FIT_CASES))
+@settings(max_examples=40)
+@given(coeffs=st.lists(_complex_values, min_size=3, max_size=3))
+def test_fit_quadratic_reproduces_quadratics(case, coeffs):
+    a0, a1, a2 = coeffs
+
+    def f(z, order):
+        return (a0 + a1 * z + a2 * z * z, a1 + 2.0 * a2 * z, 2.0 * a2)[order]
+
+    theta, th0, th1, is_double = _FIT_CASES[case]
+    q = _fit(f, theta, th0, th1, is_double)
+    scale = max(1.0, abs(a0) + abs(a1) + abs(a2))
+    for z in (theta, th0, th1, 0.36 + 0.01j, 0.3 - 0.02j, 0.5):
+        assert abs(q(z) - f(z, 0)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("moved", ["theta", "theta0prime"])
+def test_fit_quadratic_is_continuous_at_confluence_gate(moved):
+    # a numerator of the bandwidth of a far field at k = 10; just inside
+    # the gate a node merges into a derivative condition at theta0, just
+    # outside it stays a node of its own, and on the contour the two fits
+    # agree within 1e-6 of the data scale
+    field = random_trig(np.random.default_rng(0), degree=10)
+    scale = float(np.max(np.abs(field.value(np.linspace(0.0, TWO_PI, 400)))))
+    th0 = 0.7
+    fits = []
+    for gap in (_CONFLUENT * (1.0 - 1e-9), _CONFLUENT * (1.0 + 1e-9)):
+        if moved == "theta":
+            theta, th1 = th0 + gap, th0 + 0.006
+        else:
+            theta, th1 = th0 - 0.004, th0 + gap
+        fits.append(_fit(field.value, theta, th0, th1, False))
+    contour = rect_contour([theta, th0, th1], DEFAULT_CLUSTER_THRESHOLD)
+    nodes, _ = contour.quadrature(DEFAULT_CONTOUR_ORDER)
+    jump = float(np.max(np.abs(fits[0](nodes) - fits[1](nodes))))
+    assert jump <= 1e-6 * scale
 
 
 def test_residue_corrections_match_contour_integral():
@@ -531,6 +596,8 @@ _GATES = (
     _CONFLUENT,
     _EXACT,
     0.0,
+    # the reach of the rectangle around a zero: its clearance plus half
+    1.5 * DEFAULT_CLUSTER_THRESHOLD,
 )
 
 

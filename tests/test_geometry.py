@@ -1,6 +1,7 @@
 """Rational-angle geometry: presets, derived integers, invariances."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from embedfar.geometry import (
     DegenerateEdge,
     NonRationalAngle,
     PRESET_NAMES,
-    RationalAngle,
     SelfIntersecting,
     derive_rational_data,
     load_geometry_file,
@@ -41,11 +41,11 @@ def test_preset_integers(name):
 def test_preset_angle_bookkeeping(name):
     shape = preset_shape(name)
     for q_j, angle in zip(shape.q, shape.exterior_angles):
-        assert abs(angle.value - q_j * math.pi / shape.p) <= 1e-12
+        assert abs(math.pi * angle - q_j * math.pi / shape.p) <= 1e-12
     if shape.kind == "polygon":
         # convex n-gon exterior angles (measured outside) sum to (n + 2) pi
         n = len(shape.vertices)
-        total = sum(a.value for a in shape.exterior_angles)
+        total = sum(math.pi * a for a in shape.exterior_angles)
         assert abs(total - (n + 2) * math.pi) <= 1e-9
 
 
@@ -109,7 +109,7 @@ def test_orientation_is_normalized():
 
 
 def test_derive_rational_data_combines_denominators():
-    angles = (RationalAngle(3, 2), RationalAngle(5, 3))
+    angles = (Fraction(3, 2), Fraction(5, 3))
     p, q, m = derive_rational_data(angles)
     assert p == 6
     assert q == (9, 10)
@@ -119,11 +119,19 @@ def test_derive_rational_data_combines_denominators():
 def test_rationalize_angle():
     a = rationalize_angle(1.5 * math.pi)
     assert (a.numerator, a.denominator) == (3, 2)
-    assert abs(a.value - 1.5 * math.pi) <= 1e-15
+    assert abs(math.pi * a - 1.5 * math.pi) <= 1e-15
     with pytest.raises(ValueError):
         rationalize_angle(0.5 * math.pi)  # convex corners only
     with pytest.raises(NonRationalAngle):
         rationalize_angle(math.pi * (1.0 + 101.0 / 200.0), tolerance=1e-9)
+
+
+def test_nearly_straight_corner_is_rejected():
+    # the nearest fraction is 1: a straight corner, outside (pi, 2*pi]
+    with pytest.raises(ValueError, match="rounds to pi"):
+        rationalize_angle(math.pi * (1.0 + 1e-9))
+    with pytest.raises(ValueError, match="rounds to pi"):
+        shape_from_vertices([(0, 0), (1, 0), (2, 1e-9), (2, 1), (0, 1)])
 
 
 def test_rejects_non_rational_polygon():

@@ -1,4 +1,4 @@
-"""Bessel evaluations, Gauss-Legendre rules, and quadratic interpolation."""
+"""Bessel evaluations, Gauss-Legendre rules, and the Newton-form quadratic."""
 
 import math
 
@@ -8,14 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedfar.specialfun import (
-    CoincidentNodesWithoutDerivative,
-    OverdeterminedConstraints,
-    QuadraticInterpolant,
-    gauss_legendre,
-    hankel1,
-    quadratic_interpolate,
-)
+from embedfar.embedding import _fit_quadratic
+from embedfar.specialfun import gauss_legendre, hankel1
 
 # H_nu^(1)(x) frozen from 50-digit mpmath evaluations.
 HANKEL_REFERENCE = {
@@ -125,8 +119,15 @@ def test_gauss_legendre_rejects_bad_sizes():
         gauss_legendre(201)
 
 
+def _fit_distinct(nodes, values):
+    """The quadratic through three distinct nodes (theta, theta0, theta0'),
+    as the evaluator fits it; only the value at theta0 is read there."""
+    (theta, th0, th1), (f_theta, f0, f1) = nodes, values
+    return _fit_quadratic(theta, th0, th1, False, f_theta, [f0], f1)
+
+
 def test_interpolates_parabola():
-    q = quadratic_interpolate([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
+    q = _fit_distinct([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
     for z in (0.0, 0.5, 1.0, 1.7, 2.0, 1.0 + 0.5j):
         assert abs(q(z) - z * z) <= 1e-13 * max(1.0, abs(z) ** 2)
     # three values fix a quadratic: z^2 at points off the nodes
@@ -134,96 +135,9 @@ def test_interpolates_parabola():
         assert abs(q(z) - z * z) <= 1e-13 * z * z
 
 
-def test_two_nodes_give_a_line():
-    q = quadratic_interpolate([1.0, 3.0], [2.0, 6.0])
-    assert abs(q(2.0) - 4.0) <= 1e-13
-    # no curvature: the line 2z also far outside the nodes
-    for z in (-7.0, 11.0, 1.0 + 2.0j):
-        assert abs(q(z) - 2.0 * z) <= 1e-13 * abs(z)
-
-
-def test_derivative_condition():
-    # parabola through (0,0) and (1,1) with slope 0 at 0 is z^2
-    q = quadratic_interpolate(
-        [0.0, 1.0], [0.0, 1.0], derivative_node=0.0, derivative_value=0.0
-    )
-    assert abs(q(0.5) - 0.25) <= 1e-13
-    assert abs(q.derivative(0.0)) <= 1e-13
-    assert abs(q.derivative(1.0) - 2.0) <= 1e-13
-
-
-def test_taylor_form_triple_node():
-    q = QuadraticInterpolant(
-        newton_nodes=(2.0, 2.0, 2.0), newton_coeffs=(1.0, -3.0, 0.5)
-    )
-    for z in (2.0, 2.5, 1.0, 2.0 + 1.0j):
-        expected = 1.0 - 3.0 * (z - 2.0) + 0.5 * (z - 2.0) ** 2
-        assert abs(q(z) - expected) <= 1e-13 * max(1.0, abs(expected))
-    assert abs(q.derivative(2.0) + 3.0) <= 1e-14
-
-
-def test_derivative_condition_is_coincident_node_limit():
-    rng = np.random.default_rng(7)
-    coeffs = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    f = QuadraticInterpolant(newton_nodes=(0.0, 0.0, 0.0), newton_coeffs=coeffs)
-    eps = 1e-7
-    nearly = quadratic_interpolate(
-        [0.0, eps, 1.0], [f(0.0), f(eps), f(1.0)]
-    )
-    constrained = quadratic_interpolate(
-        [0.0, 1.0],
-        [f(0.0), f(1.0)],
-        derivative_node=0.0,
-        derivative_value=f.derivative(0.0),
-    )
-    for z in (0.3, 0.8 + 0.2j):
-        assert abs(constrained(z) - f(z)) <= 1e-12
-        assert abs(nearly(z) - constrained(z)) <= 1e-6
-
-
-def test_interpolate_rejects_inconsistent_inputs():
-    with pytest.raises(OverdeterminedConstraints):
-        quadratic_interpolate([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0])
-    with pytest.raises(OverdeterminedConstraints):
-        quadratic_interpolate(
-            [0.0, 1.0, 2.0],
-            [0.0, 1.0, 4.0],
-            derivative_node=0.0,
-            derivative_value=0.0,
-        )
-    with pytest.raises(CoincidentNodesWithoutDerivative):
-        quadratic_interpolate([1.0, 1.0, 2.0], [1.0, 1.0, 4.0])
-    with pytest.raises(ValueError):
-        quadratic_interpolate([0.0], [1.0])
-    with pytest.raises(ValueError):
-        quadratic_interpolate(
-            [0.0, 1.0], [0.0, 1.0], derivative_node=0.5, derivative_value=1.0
-        )
-    with pytest.raises(ValueError):
-        quadratic_interpolate([0.0, 1.0], [0.0])
-
-
 _complex_values = st.complex_numbers(
     max_magnitude=10.0, allow_nan=False, allow_infinity=False
 )
-
-
-@settings(max_examples=60)
-@given(
-    st.lists(_complex_values, min_size=3, max_size=3),
-    st.permutations([0, 1, 2]),
-)
-def test_node_reproduction_and_permutation_invariance(values, perm):
-    nodes = [0.0, 1.1, 2.3]
-    q = quadratic_interpolate(nodes, values)
-    scale = max(1.0, max(abs(v) for v in values))
-    for node, value in zip(nodes, values):
-        assert abs(q(node) - value) <= 1e-12 * scale
-    shuffled = quadratic_interpolate(
-        [nodes[i] for i in perm], [values[i] for i in perm]
-    )
-    for z in (0.4, 1.9, 0.3 + 0.7j):
-        assert abs(q(z) - shuffled(z)) <= 1e-12 * scale
 
 
 @settings(max_examples=40)
@@ -235,7 +149,7 @@ def test_quadratics_are_reproduced_exactly(coeffs):
         return a0 + a1 * z + a2 * z * z
 
     nodes = [-1.0, 0.4, 1.6]
-    q = quadratic_interpolate(nodes, [f(z) for z in nodes])
+    q = _fit_distinct(nodes, [f(z) for z in nodes])
     scale = max(1.0, abs(a0) + abs(a1) + abs(a2))
     for z in (-0.5, 0.9, 1.2 + 0.8j):
         assert abs(q(z) - f(z)) <= 1e-11 * scale
