@@ -434,11 +434,17 @@ class FarField:
 
     def rows(self, theta, order=0):
         """The (size(theta), 2N+1) matrix e^{in theta} P(theta) mult that
-        value() multiplies into the modes; theta is flattened."""
+        value() multiplies into the modes; theta is flattened.  For one
+        real angle given as a float, cos and sin come from math and the
+        centre's phase is scalar arithmetic, rounded as the array form
+        rounds it; one exp over the modes follows."""
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
-        t = np.asarray(theta).reshape(-1, 1)
-        cos, sin = np.cos(t), np.sin(t)
+        if isinstance(theta, float):
+            t, cos, sin = theta, math.cos(theta), math.sin(theta)
+        else:
+            t = np.asarray(theta).reshape(-1, 1)
+            cos, sin = np.cos(t), np.sin(t)
         (c1, c2), i_n = self.centre, self._i_numbers
         # P(theta) = e^g; g'' = -g, so D' = P (g' + in) and
         # D'' = P ((g' + in)^2 - g) mode by mode
@@ -447,10 +453,9 @@ class FarField:
         if order:
             slope = -1j * self.k * (c2 * cos - c1 * sin) + i_n
             rows *= slope if order == 1 else slope * slope - g
-        return rows
+        return rows.reshape(-1, len(i_n))
 
     def value(self, theta, order=0):
-        theta = np.asarray(theta)
         rows = self.rows(theta, order)
         if self.modes.ndim == 2 and rows.size * self.modes.shape[1] > _THREADED_GEMM:
             # (modes^T rows^T)^T; the stacked modes are Fortran-ordered
@@ -458,4 +463,4 @@ class FarField:
         else:
             values = rows @ self.modes
         # [()] turns the 0-d result of a scalar theta into a scalar
-        return values.reshape(theta.shape + self.modes.shape[1:])[()]
+        return values.reshape(np.shape(theta) + self.modes.shape[1:])[()]

@@ -68,9 +68,6 @@ class SVDResult:
     sigma: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.v.conj().T
-
 
 def svd(matrix):
     """Singular value decomposition of a square matrix (LAPACK).

@@ -13,6 +13,7 @@ numerator) when the evaluation point and the zeros crowd together.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -59,12 +60,6 @@ class DoublePoleInSimpleBranch(RuntimeError):
 def reduce_angle(theta):
     """Map angles into [0, 2*pi)."""
     return np.mod(theta, _TWO_PI)
-
-
-def angle_distance(a, b=0.0):
-    """Distance on the circle, in [0, pi]."""
-    d = np.mod(np.asarray(a) - b, _TWO_PI)
-    return np.minimum(d, _TWO_PI - d)
 
 
 def lambda_weight(theta, alpha, p, order=0):
@@ -269,29 +264,38 @@ class RectContour:
         return max(self.left - x, x - self.right) < 0.5 * self.half_height
 
     def quadrature(self, order):
-        """Counterclockwise quadrature nodes and complex dz-weights."""
-        gx, gw = gauss_legendre(order)
-        corners = [
-            self.left - 1j * self.half_height,
-            self.right - 1j * self.half_height,
-            self.right + 1j * self.half_height,
-            self.left + 1j * self.half_height,
-        ]
-        nodes, weights = [], []
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            nodes.append(mid + half * gx)
-            weights.append(half * gw)
-        return np.concatenate(nodes), np.concatenate(weights)
+        """Counterclockwise quadrature nodes and complex dz-weights: the
+        rule of the square [-1, 1]^2 mapped onto the rectangle."""
+        x, iy, dx, i_dy = _unit_square_rule(order)
+        centre = 0.5 * (self.left + self.right)
+        half_width, half_height = 0.5 * (self.right - self.left), self.half_height
+        nodes = centre + half_width * x + half_height * iy
+        return nodes, half_width * dx + half_height * i_dy
+
+
+@functools.cache
+def _unit_square_rule(order):
+    """The order-point Gauss rule on each side of the square [-1, 1]^2,
+    counterclockwise from the bottom-left corner, as the real and imaginary
+    parts of its nodes and of its dz-weights (the imaginary ones times i)."""
+    gx, gw = gauss_legendre(order)
+    ones, zeros = np.ones(order), np.zeros(order)
+    x = np.concatenate([gx, ones, -gx, -ones])
+    y = np.concatenate([-ones, gx, ones, -gx])
+    dx = np.concatenate([gw, zeros, -gw, zeros])
+    dy = np.concatenate([zeros, gw, zeros, -gw])
+    rule = (x, 1j * y, dx, 1j * dy)
+    for part in rule:
+        part.flags.writeable = False  # shared by every rectangle
+    return rule
 
 
 def rect_contour(points, clearance):
     """Smallest rectangle keeping the given real points at the stated
     distance from its boundary."""
-    points = np.atleast_1d(points)
     return RectContour(
-        left=float(np.min(points)) - clearance,
-        right=float(np.max(points)) + clearance,
+        left=min(points) - clearance,
+        right=max(points) + clearance,
         half_height=clearance,
     )
 
@@ -371,16 +375,30 @@ class StabilizedEvaluator:
         return self.evaluate_with_branch(theta, alpha)[0]
 
     def evaluate_with_branch(self, theta, alpha):
-        """Value and branch label at one (theta, alpha) pair: a one-point
-        sweep, which leaves the kept grid alone."""
+        """Value and branch label at one (theta, alpha) pair, in Python
+        numbers: the coefficients, one far-field call at theta and Lambda
+        give the naive quotient; a point within big_h of a zero adds the
+        numerator at the zeros it uses and takes its branch as a sweep's
+        point does.  The kept grid is left alone."""
         theta, alpha = float(theta), float(alpha)
         if not (math.isfinite(theta) and math.isfinite(alpha)):
             raise ValueError(
                 f"angles must be finite: theta={theta!r}, alpha={alpha!r}"
             )
-        thetas = np.array([theta])
-        values, labels = self._sweep(thetas, alpha, self.basis.hat_values(thetas)[0])
-        return values[0], labels[0]
+        basis, p = self.basis, self.basis.p
+        b = self.coefficients(alpha)
+        cos_p = math.cos(p * theta)
+        lam = cos_p + float(lambda_offset(alpha, p))
+        fields = basis.far_fields.value(theta)
+        at_theta = complex(_weigh((cos_p + basis.offset) * fields, b))
+        near = self._near(theta, alpha, lam)
+        if near is None:
+            value, label = at_theta / lam, "naive"
+        else:
+            point = (theta, *near, at_theta, lam)
+            [(value, label)] = self._near_values([point], alpha, b)
+        self.branch_counts[label] += 1
+        return value, label
 
     def evaluate_sweep(self, thetas, alpha):
         """Values and branch labels over a grid of observation angles.
@@ -399,65 +417,37 @@ class StabilizedEvaluator:
                 f"angles must be finite: alpha={alpha!r}, {bad} non-finite "
                 f"of {thetas.size} theta values"
             )
-        return self._sweep(thetas, alpha, self._grid_patterns(thetas))
-
-    # internal helpers ---------------------------------------------------
-
-    def _sweep(self, thetas, alpha, patterns):
-        """Values and labels over thetas, given basis.hat_values(thetas)[0]."""
-        p, n = self.basis.p, len(thetas)
-        big_h, small_h = self.near_threshold, self.cluster_threshold
+        p, n, big_h = self.basis.p, len(thetas), self.near_threshold
         b = self.coefficients(alpha)
         lam = lambda_weight(thetas, alpha, p)
-        at_theta = _weigh(patterns, b)
+        at_theta = _weigh(self._grid_patterns(thetas), b)
         labels = np.full(n, "naive", dtype=object)
 
-        # |Lambda| <= p d0, so only these points can lie within big_h of
-        # a zero; a sweep has few of them, so they go on as Python numbers
-        # (a numpy call costs more than the whole of _environment)
+        # only points with |Lambda| <= p big_h can lie within big_h of a
+        # zero (see _near); a sweep has few of them, so they go on as
+        # Python numbers (a numpy call costs more than the whole of _near)
         candidates = (np.abs(lam) <= p * big_h).nonzero()[0]
         columns = (candidates, thetas[candidates], lam[candidates],
                    at_theta[candidates])
-        points = []
+        index, points = [], []
         for i, theta, lam_i, at_i in zip(*(column.tolist() for column in columns)):
-            th0, th1, _, double = _environment(theta, alpha, p)
-            if abs(theta - th0) < big_h:
-                points.append((i, theta, th0, th1, double, lam_i, at_i))
+            near = self._near(theta, alpha, lam_i)
+            if near is not None:
+                index.append(i)
+                points.append((theta, *near, at_i, lam_i))
         if not points:
             self.branch_counts.update(labels.tolist())
             return at_theta / lam, labels
         values = np.zeros(n, dtype=np.complex128)
         if len(points) < n:
             far = np.ones(n, dtype=bool)
-            far[[point[0] for point in points]] = False
+            far[index] = False
             np.divide(at_theta, lam, out=values, where=far)
-
-        # the zeros each near point uses, and the derivative order its
-        # quadratic fit or l'Hopital's rule needs
-        zeros, uses_th1, order = [], [], 0
-        for _, theta, th0, th1, double, _, _ in points:
-            d0, d01 = abs(theta - th0), abs(th0 - th1)
-            uses = not double and (d0 < small_h or d01 < big_h)
-            zeros += [th0, th1] if uses else [th0]
-            uses_th1.append(uses)
-            hits, confluent = d0 <= _CONFLUENT, double or d01 <= _CONFLUENT
-            order = max(order, 2 if hits and confluent else int(hits or confluent))
-        # one far-field call per order on the distinct zeros (a single
-        # point's zeros are distinct already)
-        index = range(len(zeros))
-        if len(zeros) > 2:
-            zeros, index = np.unique(zeros, return_inverse=True)
-        at_zeros = _weigh(self.basis.hat_values(zeros, order), b).T.tolist()
-
-        rows = iter(index)
-        for (i, theta, th0, th1, double, lam_i, at_i), uses in zip(points, uses_th1):
-            at_th0 = at_zeros[next(rows)]
-            at_th1 = at_zeros[next(rows)][0] if uses else None
-            values[i], labels[i] = self._near_value(
-                theta, alpha, th0, th1, double, at_i, lam_i, at_th0, at_th1
-            )
+        values[index], labels[index] = zip(*self._near_values(points, alpha, b))
         self.branch_counts.update(labels.tolist())
         return values, labels
+
+    # internal helpers ---------------------------------------------------
 
     def _grid_patterns(self, thetas):
         """basis.hat_values(thetas)[0], kept for the last grid and keyed on
@@ -466,6 +456,52 @@ class StabilizedEvaluator:
         if self._grid[0] != key:
             self._grid = (key, self.basis.hat_values(thetas)[0])
         return self._grid[1]
+
+    def _near(self, theta, alpha, lam):
+        """(theta0, theta0', is_double) when theta lies within big_h of a
+        zero of Lambda(., alpha), else None; lam is Lambda(theta, alpha),
+        and |Lambda| <= p d0 lets a larger one skip the zeros."""
+        p, big_h = self.basis.p, self.near_threshold
+        if abs(lam) > p * big_h:
+            return None
+        th0, th1, _, double = _environment(theta, alpha, p)
+        return (th0, th1, double) if abs(theta - th0) < big_h else None
+
+    def _near_values(self, points, alpha, b):
+        """(value, label) of each point (theta, theta0, theta0', is_double,
+        numerator at theta, Lambda there) within big_h of a zero: one
+        far-field call per derivative order on the distinct zeros the
+        points use, then each point's branch."""
+        used = [self._zeros_used(*point[:4]) for point in points]
+        zeros = [z for point_zeros, _ in used for z in point_zeros]
+        index = range(len(zeros))
+        if len(zeros) > 2:  # a single point's zeros are distinct already
+            zeros, index = np.unique(zeros, return_inverse=True)
+        order = max(point_order for _, point_order in used)
+        at_zeros = _weigh(self.basis.hat_values(zeros, order), b).T.tolist()
+        rows = iter(index)
+        results = []
+        for (theta, th0, th1, double, at_i, lam_i), (point_zeros, _) in zip(
+            points, used
+        ):
+            at_th0 = at_zeros[next(rows)]
+            at_th1 = at_zeros[next(rows)][0] if len(point_zeros) == 2 else None
+            results.append(self._near_value(
+                theta, alpha, th0, th1, double, at_i, lam_i, at_th0, at_th1
+            ))
+        return results
+
+    def _zeros_used(self, theta, th0, th1, is_double):
+        """The zeros whose numerator the branch of a point within big_h of
+        th0 reads, and the derivative order its quadratic fit or l'Hopital's
+        rule needs there."""
+        d0, d01 = abs(theta - th0), abs(th0 - th1)
+        uses_th1 = not is_double and (
+            d0 < self.cluster_threshold or d01 < self.near_threshold
+        )
+        hits, confluent = d0 <= _CONFLUENT, is_double or d01 <= _CONFLUENT
+        order = 2 if hits and confluent else int(hits or confluent)
+        return ([th0, th1] if uses_th1 else [th0]), order
 
     def _near_value(self, theta, alpha, th0, th1, is_double, at_theta, lam,
                     at_th0, at_th1):
@@ -476,8 +512,11 @@ class StabilizedEvaluator:
         big_h, small_h = self.near_threshold, self.cluster_threshold
         d0, d01 = abs(theta - th0), abs(th0 - th1)
         if d0 <= _EXACT and is_double:
-            # both Lambda and the numerator vanish doubly at theta0
-            return at_th0[2] / (-(p * p) * math.cos(p * th0)), "lhopital"
+            # the regular part of N / Lambda at theta0, where Lambda =
+            # Lambda''/2 u^2 (1 - p^2 u^2 / 12 + ...): (N'' + p^2 N / 6) /
+            # Lambda''; exact data make N vanish doubly there
+            second = at_th0[2] + (p * p / 6.0) * at_th0[0]
+            return second / (-(p * p) * math.cos(p * th0)), "lhopital"
 
         if d0 >= small_h and not (is_double or d01 < small_h):
             # naive quotient plus explicit corrections
@@ -499,13 +538,15 @@ class StabilizedEvaluator:
                 value -= _residue_term(p, at_th1, th1, theta)
             return value, "contour:full"
 
-        # moderate distance from a clustered pair or a double zero
+        # moderate distance from a clustered pair or a double zero: with
+        # theta outside the rectangle, the integral around the zeros alone
+        # is minus the principal part of rho / Lambda there
         contour = rect_contour(xs, small_h)
         if contour.reaches(theta):
             value, _ = self._contour_value(rho, theta, alpha, xs, th1, is_double)
             return value, "contour:full"
         correction = contour_eval(rho, theta, alpha, p, contour, self.contour_order)
-        return at_theta / lam - complex(correction), "contour:pair"
+        return at_theta / lam + complex(correction), "contour:pair"
 
     def _contour_value(self, rho, theta, alpha, xs, th1, is_double):
         """Contour integral around theta and the zeros xs; an excluded

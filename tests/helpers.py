@@ -92,6 +92,17 @@ class TrigFarFields:
         return np.stack([f.value(theta, order) for f in self.fields], axis=-1)
 
 
+def angle_distance(a, b=0.0):
+    """Distance on the circle, in [0, pi]."""
+    d = np.mod(np.asarray(a) - b, 2.0 * np.pi)
+    return np.minimum(d, 2.0 * np.pi - d)
+
+
+def reconstruct(result):
+    """U diag(sigma) V* of a coefficients.SVDResult."""
+    return (result.u * result.sigma) @ result.v.conj().T
+
+
 def random_trig(rng, degree=3, scale=1.0):
     """Random complex Fourier series of the given degree."""
     return TrigFarField(
@@ -210,6 +221,7 @@ def scalar_dispatch(evaluator, theta, alpha):
 
     if d0 <= _EXACT and env.is_double:
         second = complex(basis.numerator(b, th0, order=2))
+        second += (p * p / 6.0) * complex(basis.numerator(b, th0))
         return second / (-(p * p) * math.cos(p * th0)), "lhopital"
 
     if d0 < small_h:
@@ -232,13 +244,56 @@ def scalar_dispatch(evaluator, theta, alpha):
         correction = contour_eval(
             rho, theta, alpha, p, contour, evaluator.contour_order
         )
-        return naive_eval(basis, b, theta, alpha) - complex(correction), "contour:pair"
+        return naive_eval(basis, b, theta, alpha) + complex(correction), "contour:pair"
     value = naive_eval(basis, b, theta, alpha)
     value -= _scalar_residue_term(basis, b, th0, theta)
     if d01 < big_h:
         value -= _scalar_residue_term(basis, b, th1, theta)
         return value, "residue:two"
     return value, "residue:single"
+
+
+# The closed form of every branch: the naive quotient N / Lambda minus the
+# principal part of N / Lambda at the zeros the branch corrects for, with
+# the numerator N of the evaluator's own (possibly noisy) data.  With data
+# of an exact embedding N vanishes at the zeros and the principal parts
+# are zero; with noisy data they are of the noise's size, so a branch that
+# adds one where it should subtract it is off by twice as much.
+
+
+def _principal_part(basis, b, theta, chi, is_double):
+    """Principal part at theta of N / Lambda at its zero chi."""
+    p = basis.p
+    n0 = complex(basis.numerator(b, chi))
+    if not is_double:
+        return n0 / (-p * math.sin(p * chi) * (theta - chi))
+    # Lambda = a2 u^2 + O(u^4) about a double zero, u = z - chi
+    a2 = -0.5 * p * p * math.cos(p * chi)
+    u = theta - chi
+    return (n0 / u + complex(basis.numerator(b, chi, 1))) / (a2 * u)
+
+
+def closed_form(evaluator, theta, alpha):
+    """N / Lambda minus the principal parts at the zeros within the near
+    threshold of theta (theta0, and theta0' when it lies within the near
+    threshold of theta0); on a double zero, the regular part there."""
+    basis, p = evaluator.basis, evaluator.basis.p
+    b = evaluator.coefficients(alpha)
+    big_h = evaluator.near_threshold
+    env = pole_environment(theta, alpha, p)
+    th0, th1 = env.theta0, env.theta0_prime
+    if env.is_double and abs(theta - th0) <= _EXACT:
+        # N / Lambda = (n0 + n1 u + n2 u^2 / 2 + ...) / (a2 u^2 (1 + a4 / a2 u^2))
+        a2 = -0.5 * p * p * math.cos(p * th0)
+        a4 = p**4 * math.cos(p * th0) / 24.0
+        n0, n2 = (complex(basis.numerator(b, th0, j)) for j in (0, 2))
+        return (0.5 * n2 - n0 * a4 / a2) / a2
+    value = complex(naive_eval(basis, b, theta, alpha))
+    if abs(theta - th0) < big_h:
+        value -= _principal_part(basis, b, theta, th0, env.is_double)
+        if not env.is_double and abs(th0 - th1) < big_h:
+            value -= _principal_part(basis, b, theta, th1, False)
+    return value
 
 
 def scalar_sweep(evaluator, thetas, alpha):

@@ -195,6 +195,22 @@ def test_far_field_product_agrees_across_the_threading_cut():
                 assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
 
 
+def test_far_field_rows_of_one_real_angle(square_k5):
+    # a float angle takes the centre's phase as scalars: its row is
+    # the array form's to 2 ulp, and a complex angle keeps the array form
+    fields = square_k5.solve_far_fields([1.2, 2.0])
+    eps = np.finfo(np.float64).eps
+    for theta in (0.0, 0.4, 2.0, -3.1, 5.5, 40.0, np.float64(1.7)):
+        for order in (0, 1, 2):
+            got = fields.rows(theta, order)
+            want = fields.rows(np.array([theta]), order)
+            assert got.shape == want.shape == (1, len(fields.modes))
+            assert np.all(np.abs(got - want) <= 2.0 * eps * np.abs(want))
+            z = complex(theta, 0.3)
+            assert np.array_equal(fields.rows(z, order), fields.rows(np.array([z]), order))
+            assert fields.value(theta, order).shape == (2,)
+
+
 def test_far_field_is_entire_in_theta(square_k5):
     # complex observation angles feed the contour quadrature; values along a
     # short vertical segment must match a Taylor step from the real axis

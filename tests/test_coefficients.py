@@ -24,7 +24,7 @@ from embedfar.coefficients import (
 )
 from embedfar.embedding import EmbeddingBasis, lambda_weight
 from embedfar.geometry import preset_shape
-from helpers import TrigFarFields, random_trig
+from helpers import TrigFarFields, random_trig, reconstruct
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,7 +70,7 @@ def test_svd_factorization_properties(n):
     assert np.all(np.diff(res.sigma) <= 1e-15)
     assert np.all(res.sigma >= 0.0)
     scale = float(np.linalg.norm(a))
-    assert np.allclose(res.reconstruct(), a, atol=1e-12 * scale)
+    assert np.allclose(reconstruct(res), a, atol=1e-12 * scale)
 
 
 def test_svd_matches_gram_eigenvalues():
@@ -110,7 +110,7 @@ def test_svd_zero_columns_complete_unitary():
     assert np.allclose(res.u.conj().T @ res.u, np.eye(5), atol=1e-12)
     assert res.sigma[-1] == 0.0
     assert res.sigma[-2] == 0.0
-    assert np.allclose(res.reconstruct(), a, atol=1e-12)
+    assert np.allclose(reconstruct(res), a, atol=1e-12)
 
 
 def test_svd_rejects_bad_shapes():
@@ -120,7 +120,7 @@ def test_svd_rejects_bad_shapes():
     rng = np.random.default_rng(106)
     a = _random_complex(rng, (201, 201))
     res = svd(a)
-    assert np.allclose(res.reconstruct(), a, atol=1e-11 * float(np.linalg.norm(a)))
+    assert np.allclose(reconstruct(res), a, atol=1e-11 * float(np.linalg.norm(a)))
 
 
 @settings(max_examples=40)
@@ -135,7 +135,7 @@ def test_svd_properties_random(n, seed):
     assert np.allclose(res.u.conj().T @ res.u, np.eye(n), atol=1e-11)
     assert np.allclose(res.v.conj().T @ res.v, np.eye(n), atol=1e-11)
     scale = max(1.0, float(np.linalg.norm(a)))
-    assert np.allclose(res.reconstruct(), a, atol=1e-11 * scale)
+    assert np.allclose(reconstruct(res), a, atol=1e-11 * scale)
     assert np.all(np.diff(res.sigma) <= 1e-15)
 
 

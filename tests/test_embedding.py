@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedfar.bem import FarField
+from embedfar.cli import ExperimentConfig, build_pipeline
 from embedfar.embedding import (
     _CONFLUENT,
     _EXACT,
@@ -19,7 +21,6 @@ from embedfar.embedding import (
     PoleOnContour,
     StabilizedEvaluator,
     _fit_quadratic,
-    angle_distance,
     contour_eval,
     error_constant,
     lambda_weight,
@@ -28,8 +29,11 @@ from embedfar.embedding import (
     pole_set,
     rect_contour,
 )
+from embedfar.specialfun import gauss_legendre
 from helpers import (
     TrigFarFields,
+    angle_distance,
+    closed_form,
     exact_coefficients,
     random_trig,
     rank_one_family,
@@ -297,6 +301,57 @@ def test_fit_quadratic_is_continuous_at_confluence_gate(moved):
     assert jump <= 1e-6 * scale
 
 
+def _corner_quadrature(contour, order):
+    """The rule side by side from the corners: Gauss nodes on each side
+    between consecutive corners, counterclockwise."""
+    gx, gw = gauss_legendre(order)
+    low, high = -1j * contour.half_height, 1j * contour.half_height
+    corners = [contour.left + low, contour.right + low,
+               contour.right + high, contour.left + high]
+    nodes, weights = [], []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        nodes.append(0.5 * (a + b) + 0.5 * (b - a) * gx)
+        weights.append(0.5 * (b - a) * gw)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@settings(max_examples=60)
+@given(
+    points=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=3),
+    clearance=st.sampled_from((1e-4, DEFAULT_CLUSTER_THRESHOLD, 0.2)),
+    order=st.sampled_from((1, 4, DEFAULT_CONTOUR_ORDER, 60)),
+)
+def test_rectangle_rule_is_the_corner_rule(points, clearance, order):
+    contour = rect_contour(points, clearance)
+    nodes, weights = contour.quadrature(order)
+    want_nodes, want_weights = _corner_quadrature(contour, order)
+    size = float(np.max(np.abs(want_nodes)))
+    assert float(np.max(np.abs(nodes - want_nodes))) <= 1e-15 * size
+    assert float(np.max(np.abs(weights - want_weights))) <= 1e-15 * np.max(
+        np.abs(want_weights)
+    )
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.5, 2.0])
+def test_rectangle_rule_counts_the_poles_inside(spread):
+    # (1 / 2 pi i) times the integral of dz / (z - a) is 1 for a inside the
+    # rectangle and 0 outside; a stays a quarter of a side's length or more
+    # from each side
+    h = DEFAULT_CLUSTER_THRESHOLD
+    contour = rect_contour([1.3, 1.3 + spread * h], h)
+    nodes, weights = contour.quadrature(DEFAULT_CONTOUR_ORDER)
+    centre = 0.5 * (contour.left + contour.right)
+    for a, count in (
+        (centre, 1.0),
+        (contour.left + h, 1.0),
+        (contour.right + 0.5 * h, 0.0),
+        (contour.left - 2.0 * h, 0.0),
+        (centre - (2.0 + 0.5 * spread) * 1j * h, 0.0),
+    ):
+        integral = np.sum(weights / (nodes - a)) / (2j * math.pi)
+        assert abs(integral - count) <= 1e-8, a
+
+
 def test_residue_corrections_match_contour_integral():
     rng = np.random.default_rng(13)
     checked = 0
@@ -435,6 +490,62 @@ def test_stabilization_bounds_noise_amplification():
     assert naive_error >= 1e4 * eps
     assert stabilized_error <= 1e3 * eps
     assert stabilized_error * 50.0 <= naive_error
+
+
+# (label, alpha, theta - c) about a point c where two zeros coalesce: the
+# zeros sit at c +- alpha, so alpha = 0 makes a double zero, 0.002 a
+# clustered simple pair, 0.05 a pair within the near threshold and 0.3 two
+# isolated zeros
+_BRANCH_CASES = (
+    ("naive", 0.3, 0.5),
+    ("residue:single", 0.3, 0.4),
+    ("residue:two", 0.05, 0.1),
+    ("contour:pair", 0.0, 0.016),
+    ("contour:pair", 0.0, 0.04),
+    ("contour:pair", 0.0, -0.1),
+    ("contour:pair", 0.002, 0.04),
+    ("contour:pair", 0.002, -0.1),
+    ("contour:full", 0.3, 0.305),
+    ("contour:full", 0.05, 0.055),
+    ("contour:full", 0.002, 0.012),
+    ("contour:full", 0.0, 0.005),
+    ("contour:full", 0.0, 2e-4),
+    ("lhopital", 0.0, 0.0),
+)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_every_branch_matches_closed_form_on_noisy_data(p):
+    # with noisy canonical data the numerator does not vanish at the zeros,
+    # so every correction counts; each branch must give N / Lambda minus
+    # the principal parts at the zeros it corrects for, within 1% of the
+    # numerator's data error nu (the quadratic fit at 2e-4 from a double
+    # zero reaches 0.7%).  A correction of the wrong sign is off by twice a
+    # principal part, 4 n0 / (p d)^2 at a distance d from a double zero;
+    # l'Hopital's rule without its p^2 n0 / 6 term by n0 / (6 cos p chi)
+    eps = 1e-6
+    rng = np.random.default_rng(70 + p)
+    T, angles, fields = rank_one_family(p, rng)
+    noisy = TrigFarFields(f.plus(random_trig(rng, degree=3), eps) for f in fields)
+    basis = EmbeddingBasis(p=p, angles=angles, far_fields=noisy)
+    exact = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
+    evaluator = StabilizedEvaluator(
+        basis=basis, coefficients=lambda a: exact_coefficients(T, angles, p, a)
+    )
+    grid = np.linspace(0.0, TWO_PI, 200, endpoint=False)
+    c = math.pi / p if p % 2 else 0.0
+    for alpha in sorted({alpha for _, alpha, _ in _BRANCH_CASES}):
+        cases = [(label, c + d) for label, a, d in _BRANCH_CASES if a == alpha]
+        b = evaluator.coefficients(alpha)
+        nu = float(np.max(np.abs(basis.numerator(b, grid) - exact.numerator(b, grid))))
+        thetas = np.array([theta for _, theta in cases])
+        swept, swept_labels = evaluator.evaluate_sweep(thetas, alpha)
+        for (label, theta), value, swept_label in zip(cases, swept, swept_labels):
+            want = closed_form(evaluator, theta, alpha)
+            point, point_label = evaluator.evaluate_with_branch(theta, alpha)
+            assert point_label == swept_label == label, (alpha, theta)
+            assert abs(point - want) <= 0.01 * nu, (label, alpha, theta)
+            assert abs(value - want) <= 0.01 * nu, (label, alpha, theta)
 
 
 def test_coefficient_cache_and_branch_counts():
@@ -589,16 +700,20 @@ def test_dispatcher_matches_scalar_oracle(p):
         _assert_matches_oracle(evaluator, thetas, alpha)
 
 
-_EVALUATORS = {p: _noisy_evaluator(p, seed=60 + p) for p in (2, 3, 5)}
-_GATES = (
-    DEFAULT_NEAR_THRESHOLD,
-    DEFAULT_CLUSTER_THRESHOLD,
-    _CONFLUENT,
-    _EXACT,
-    0.0,
-    # the reach of the rectangle around a zero: its clearance plus half
-    1.5 * DEFAULT_CLUSTER_THRESHOLD,
-)
+_EVALUATORS = {p: _noisy_evaluator(p, seed=60 + p) for p in (1, 2, 3, 5)}
+_H, _h = DEFAULT_NEAR_THRESHOLD, DEFAULT_CLUSTER_THRESHOLD
+# gaps between the two zeros about a coalescence point (None: a generic
+# alpha) and distances of theta from a zero, drawn independently.  The
+# dispatcher's thresholds sit at these pairs among others: the near, the
+# cluster and the confluence gates at an isolated zero (0.6, H / h /
+# _CONFLUENT); an exact hit of a double zero (0, _EXACT), the zero itself
+# (0, 0) and the reach of the rectangle round it, its clearance plus half
+# (0, 1.5 h); the rectangle round a clustered pair (0.004, 1.5 h); theta0'
+# pulled into the contour round theta and theta0 (2 h, 1.5 h); pair gaps
+# on the near, cluster and confluence gates with theta off the gates (H or
+# h, 0.05; _CONFLUENT, 0.003)
+_PAIR_GAPS = (None, 0.6, 0.0, 0.004, 2.0 * _h, _H, _h, _CONFLUENT)
+_DISTANCES = (_H, _h, _CONFLUENT, _EXACT, 0.0, 1.5 * _h, 0.05, 0.003)
 
 
 def _nudge(x, ulps):
@@ -608,32 +723,63 @@ def _nudge(x, ulps):
     return x
 
 
-@settings(max_examples=150)
+@settings(max_examples=400)
 @given(
     p=st.sampled_from(sorted(_EVALUATORS)),
     n=st.integers(0, 9),
-    pair_gap=st.sampled_from((None, 0.0) + _GATES[:3]),
-    alpha_ulps=st.integers(-3, 3),
+    pair_gap=st.sampled_from(_PAIR_GAPS),
+    alpha_ulps=st.integers(-8, 8),
     generic_alpha=st.floats(0.0, TWO_PI),
     zero=st.integers(0, 9),
-    gate=st.sampled_from(_GATES),
+    distance=st.sampled_from(_DISTANCES),
     side=st.sampled_from((-1.0, 1.0)),
-    ulps=st.integers(-3, 3),
+    ulps=st.integers(-8, 8),
 )
 def test_dispatcher_matches_oracle_at_branch_boundaries(
-    p, n, pair_gap, alpha_ulps, generic_alpha, zero, gate, side, ulps
+    p, n, pair_gap, alpha_ulps, generic_alpha, zero, distance, side, ulps
 ):
-    # alpha at a coalescence point n pi/p, or half a gate away from one so
-    # that the two zeros there sit a gate apart; theta a gate away from a
-    # zero; both a few ulps either side
+    # alpha at a coalescence point n pi / p plus half a pair gap, so that
+    # the two zeros there sit the gap apart; theta the distance from any
+    # zero, on either side; both a few ulps either side.  The one-point
+    # path, the sweep and the scalar oracle must agree on labels and values
     if pair_gap is None:
         alpha = generic_alpha
     else:
         alpha = _nudge((n % p) * math.pi / p + 0.5 * pair_gap, alpha_ulps)
     zeros = pole_set(alpha, p)
-    theta = _nudge(float(zeros[zero % len(zeros)]) + side * gate, ulps)
+    theta = _nudge(float(zeros[zero % len(zeros)]) + side * distance, ulps)
     thetas = np.concatenate([[theta], np.linspace(0.0, TWO_PI, 16, endpoint=False)])
     _assert_matches_oracle(_EVALUATORS[p], thetas, alpha)
+
+
+def test_naive_query_reads_one_row_per_angle(monkeypatch):
+    # a one-point query away from every zero costs the coefficient map's
+    # row at alpha and one far-field call at theta, whose row is the
+    # second; it never runs as a sweep
+    pipeline = build_pipeline(ExperimentConfig(shape="square", k=5.0))
+    theta, alpha = 2.0, 0.6
+    env = pole_environment(theta, alpha, pipeline.shape.p)
+    assert abs(theta - env.theta0) >= DEFAULT_NEAR_THRESHOLD
+    calls = []
+    rows, value = FarField.rows, FarField.value
+
+    def counted_rows(self, theta, order=0):
+        calls.append(("rows", theta))
+        return rows(self, theta, order)
+
+    def counted_value(self, theta, order=0):
+        calls.append(("value", theta))
+        return value(self, theta, order)
+
+    def no_sweep(*args):
+        raise AssertionError("a one-point query ran as a sweep")
+
+    monkeypatch.setattr(FarField, "rows", counted_rows)
+    monkeypatch.setattr(FarField, "value", counted_value)
+    monkeypatch.setattr(StabilizedEvaluator, "evaluate_sweep", no_sweep)
+    _, label = pipeline.evaluator.evaluate_with_branch(theta, alpha)
+    assert label == "naive"
+    assert calls == [("rows", alpha), ("value", theta), ("rows", theta)]
 
 
 def test_far_field_calls_per_sweep():
