@@ -35,15 +35,6 @@ _EXACT = 1e-13
 _CONFLUENT = 1e-5
 _TWO_PI = 2.0 * math.pi
 
-# Relative data error is amplified by at most this constant (times
-# (1 + 1/(2 h^2)) and the coefficient norm) anywhere on the real line.
-STABILITY_CONSTANT = (
-    128.0
-    * (5.0 * math.pi + 4.0 * math.log(3.0 + math.pi**2 / 64.0))
-    * (6.0 + math.pi**2 / 64.0)
-    / math.pi**4
-)
-
 
 class PoleAtTheta(ZeroDivisionError):
     """Naive quotient evaluated exactly on a zero of the weight function."""
@@ -81,12 +72,6 @@ def lambda_offset(alpha, p):
     """The alpha part -(-1)^p cos(p alpha) of Lambda(theta, alpha)."""
     sign = -1.0 if p % 2 == 0 else 1.0
     return sign * np.cos(p * np.asarray(alpha))
-
-
-def error_constant(coefficient_norm=1.0):
-    """Worst-case input-to-output error amplification, up to the
-    (1 + 1/(2 h^2)) contour factor."""
-    return STABILITY_CONSTANT * coefficient_norm
 
 
 @dataclass(frozen=True)
@@ -165,6 +150,29 @@ def _environment(theta, alpha, p):
     else:
         theta0_prime = theta0 + math.copysign(spacing, theta - theta0)
     return theta0, theta0_prime, theta_star, is_double
+
+
+def _environments(theta, alpha, p):
+    """_environment's theta0, theta0' and is_double for an array of angles,
+    by the same IEEE operations (rounding half to even, abs, copysign), so
+    that every branch decision agrees with the scalar cut bit for bit."""
+    spacing = _TWO_PI / p
+    offset = math.pi / p if p % 2 else 0.0
+    plus, minus = offset + alpha, offset - alpha
+    near_plus = plus + np.rint((theta - plus) / spacing) * spacing
+    near_minus = minus + np.rint((theta - minus) / spacing) * spacing
+    gap_plus, gap_minus = np.abs(theta - near_plus), np.abs(theta - near_minus)
+    take_minus = gap_minus < gap_plus
+    theta0 = np.where(take_minus, near_minus, near_plus)
+    other = np.where(take_minus, near_plus, near_minus)
+    d0, d_other = np.minimum(gap_plus, gap_minus), np.maximum(gap_plus, gap_minus)
+    theta_star = np.rint(theta0 * p / math.pi) * math.pi / p
+    is_double = np.abs(theta0 - theta_star) <= 1e-12
+    beside = theta0 + np.copysign(spacing, theta - theta0)
+    theta0_prime = np.where(
+        is_double, theta0, np.where(d_other <= spacing - d0, other, beside)
+    )
+    return theta0, theta0_prime, is_double
 
 
 @dataclass
@@ -250,9 +258,24 @@ def _residue_term(p, numerator_at_chi, chi, theta):
     return numerator_at_chi / (p * (chi - theta) * s)
 
 
+def _residue_terms(p, numerator_at_chi, chi, theta):
+    """_residue_term on arrays of zeros chi and angles theta."""
+    s = np.sin(p * chi)
+    if np.any(np.abs(s) <= 1e-12):
+        raise DoublePoleInSimpleBranch(
+            "a zero is double; residue formula invalid"
+        )
+    return numerator_at_chi / (p * (chi - theta) * s)
+
+
+# the residue labels by whether theta0' is corrected for too
+_RESIDUE_LABELS = np.array(["residue:single", "residue:two"], dtype=object)
+
+
 @dataclass(frozen=True)
 class RectContour:
-    """Axis-aligned rectangle around a set of real points."""
+    """Axis-aligned rectangle around a set of real points.  Its fields may
+    also be (n, 1) columns, one row per rectangle of a batch."""
 
     left: float
     right: float
@@ -305,7 +328,10 @@ def contour_eval(numerator_fn, theta, alpha, p, contour, order=DEFAULT_CONTOUR_O
     numerator_fn(z) / (Lambda(z, alpha) (z - theta)).
 
     numerator_fn is typically the locally fitted quadratic; it only needs to
-    be accurate inside the contour.
+    be accurate inside the contour.  For a batch, theta and the contour's
+    fields are (n, 1) columns and numerator_fn maps the (n, 4 order) nodes
+    row by row; the result holds one integral per row, each with the
+    digits of that rectangle alone.
     """
     nodes, weights = contour.quadrature(order)
     lam = lambda_weight(nodes, alpha, p)
@@ -313,7 +339,7 @@ def contour_eval(numerator_fn, theta, alpha, p, contour, order=DEFAULT_CONTOUR_O
     if np.min(np.abs(denom)) <= 1e-12:
         raise PoleOnContour("integrand pole on or too close to the contour")
     values = numerator_fn(nodes) / denom
-    return np.sum(values * weights) / (2j * math.pi)
+    return (values * weights).sum(axis=-1) / (2j * math.pi)
 
 
 def _fit_quadratic(theta, th0, th1, is_double, at_theta, at_th0, at_th1):
@@ -378,8 +404,10 @@ class StabilizedEvaluator:
         """Value and branch label at one (theta, alpha) pair, in Python
         numbers: the coefficients, one far-field call at theta and Lambda
         give the naive quotient; a point within big_h of a zero adds the
-        numerator at the zeros it uses and takes its branch as a sweep's
-        point does.  The kept grid is left alone."""
+        numerator at the zeros it uses, takes its branch by the rules a
+        sweep's contour points follow, and integrates its one rectangle
+        with the integrator a sweep gives all of its rectangles.  The kept
+        grid is left alone."""
         theta, alpha = float(theta), float(alpha)
         if not (math.isfinite(theta) and math.isfinite(alpha)):
             raise ValueError(
@@ -395,8 +423,17 @@ class StabilizedEvaluator:
         if near is None:
             value, label = at_theta / lam, "naive"
         else:
-            point = (theta, *near, at_theta, lam)
-            [(value, label)] = self._near_values([point], alpha, b)
+            zeros, order = self._zeros_used(theta, *near)
+            at_zeros = _weigh(basis.hat_values(zeros, order), b).T.tolist()
+            at_th1 = at_zeros[1][0] if len(zeros) == 2 else None
+            value, label, integrand = self._near_value(
+                theta, *near, at_theta, lam, at_zeros[0], at_th1
+            )
+            if integrand is not None:
+                contour, rho = integrand
+                value += complex(contour_eval(
+                    rho, theta, alpha, p, contour, self.contour_order
+                ))
         self.branch_counts[label] += 1
         return value, label
 
@@ -405,10 +442,11 @@ class StabilizedEvaluator:
 
         The weighted canonical patterns on the grid do not depend on alpha
         and are reused while the grid's values stay the same.  The naive
-        quotient and the cut |Lambda| <= p H for points near a zero run on
-        arrays; the numerator at the zeros the near points use comes from
-        one far-field call per derivative order, and each near point then
-        takes its branch from these values.
+        quotient, the cut for points within big_h of a zero, the numerator
+        at the zeros the near points use (one far-field call per derivative
+        order) and the residue branches run on arrays.  The few remaining
+        near points take their branch in Python by the one-point rules, and
+        the rectangles of all contour points are integrated in one call.
         """
         thetas, alpha = np.asarray(thetas, dtype=np.float64), float(alpha)
         if not (math.isfinite(alpha) and np.isfinite(thetas).all()):
@@ -417,34 +455,25 @@ class StabilizedEvaluator:
                 f"angles must be finite: alpha={alpha!r}, {bad} non-finite "
                 f"of {thetas.size} theta values"
             )
-        p, n, big_h = self.basis.p, len(thetas), self.near_threshold
+        n = len(thetas)
         b = self.coefficients(alpha)
-        lam = lambda_weight(thetas, alpha, p)
+        lam = lambda_weight(thetas, alpha, self.basis.p)
         at_theta = _weigh(self._grid_patterns(thetas), b)
-        labels = np.full(n, "naive", dtype=object)
-
-        # only points with |Lambda| <= p big_h can lie within big_h of a
-        # zero (see _near); a sweep has few of them, so they go on as
-        # Python numbers (a numpy call costs more than the whole of _near)
-        candidates = (np.abs(lam) <= p * big_h).nonzero()[0]
-        columns = (candidates, thetas[candidates], lam[candidates],
-                   at_theta[candidates])
-        index, points = [], []
-        for i, theta, lam_i, at_i in zip(*(column.tolist() for column in columns)):
-            near = self._near(theta, alpha, lam_i)
-            if near is not None:
-                index.append(i)
-                points.append((theta, *near, at_i, lam_i))
-        if not points:
-            self.branch_counts.update(labels.tolist())
+        labels = np.empty(n, dtype=object)
+        labels.fill("naive")  # np.full takes six times as long
+        index, *near = self._near_points(thetas, alpha, lam)
+        if n > len(index):
+            self.branch_counts["naive"] += n - len(index)
+        if not len(index):
             return at_theta / lam, labels
         values = np.zeros(n, dtype=np.complex128)
-        if len(points) < n:
-            far = np.ones(n, dtype=bool)
-            far[index] = False
-            np.divide(at_theta, lam, out=values, where=far)
-        values[index], labels[index] = zip(*self._near_values(points, alpha, b))
-        self.branch_counts.update(labels.tolist())
+        far = np.ones(n, dtype=bool)
+        far[index] = False
+        np.divide(at_theta, lam, out=values, where=far)
+        values[index], labels[index] = self._near_sweep(
+            alpha, b, *near, at_theta[index], lam[index]
+        )
+        self.branch_counts.update(labels[index].tolist())
         return values, labels
 
     # internal helpers ---------------------------------------------------
@@ -467,29 +496,77 @@ class StabilizedEvaluator:
         th0, th1, _, double = _environment(theta, alpha, p)
         return (th0, th1, double) if abs(theta - th0) < big_h else None
 
-    def _near_values(self, points, alpha, b):
-        """(value, label) of each point (theta, theta0, theta0', is_double,
-        numerator at theta, Lambda there) within big_h of a zero: one
-        far-field call per derivative order on the distinct zeros the
-        points use, then each point's branch."""
-        used = [self._zeros_used(*point[:4]) for point in points]
-        zeros = [z for point_zeros, _ in used for z in point_zeros]
-        index = range(len(zeros))
-        if len(zeros) > 2:  # a single point's zeros are distinct already
-            zeros, index = np.unique(zeros, return_inverse=True)
-        order = max(point_order for _, point_order in used)
-        at_zeros = _weigh(self.basis.hat_values(zeros, order), b).T.tolist()
-        rows = iter(index)
-        results = []
-        for (theta, th0, th1, double, at_i, lam_i), (point_zeros, _) in zip(
-            points, used
-        ):
-            at_th0 = at_zeros[next(rows)]
-            at_th1 = at_zeros[next(rows)][0] if len(point_zeros) == 2 else None
-            results.append(self._near_value(
-                theta, alpha, th0, th1, double, at_i, lam_i, at_th0, at_th1
-            ))
-        return results
+    def _near_points(self, thetas, alpha, lam):
+        """_near on arrays: the indices of the points within big_h of a
+        zero, and their theta, theta0, theta0' and is_double."""
+        p, big_h = self.basis.p, self.near_threshold
+        index = (np.abs(lam) <= p * big_h).nonzero()[0]
+        theta = thetas[index]
+        th0, th1, double = _environments(theta, alpha, p)
+        near = np.abs(theta - th0) < big_h
+        return tuple(c[near] for c in (index, theta, th0, th1, double))
+
+    def _near_sweep(self, alpha, b, theta, th0, th1, double, at_theta, lam):
+        """Values and labels of a sweep's points within big_h of a zero:
+        the zeros they use and the residue branches on arrays, every other
+        point by _near_value, and one contour_eval call for all of their
+        rectangles."""
+        p = self.basis.p
+        big_h, small_h = self.near_threshold, self.cluster_threshold
+        # _zeros_used on arrays: the numerator at every zero a point reads,
+        # through the highest derivative order any point needs
+        d0, d01 = np.abs(theta - th0), np.abs(th0 - th1)
+        uses_th1 = ~double & ((d0 < small_h) | (d01 < big_h))
+        hits, confluent = d0 <= _CONFLUENT, double | (d01 <= _CONFLUENT)
+        order = int((hits | confluent).any()) + int((hits & confluent).any())
+        used = np.concatenate([th0, th1[uses_th1]])
+        zeros = np.unique(used)
+        rows = zeros.searchsorted(used)
+        at_zeros = _weigh(self.basis.hat_values(zeros, order), b)
+        m = len(theta)
+        at_th0 = at_zeros[:, rows[:m]]
+        at_th1 = np.zeros(m, dtype=np.complex128)
+        at_th1[uses_th1] = at_zeros[0, rows[m:]]
+        values = np.empty(m, dtype=np.complex128)
+        labels = np.empty(m, dtype=object)
+
+        residue = (d0 >= small_h) & ~(double | (d01 < small_h))
+        r = residue.nonzero()[0]
+        if len(r):
+            value = at_theta[r] / lam[r] - _residue_terms(
+                p, at_th0[0, r], th0[r], theta[r]
+            )
+            two = d01[r] < big_h
+            pair = r[two]
+            value[two] -= _residue_terms(p, at_th1[pair], th1[pair], theta[pair])
+            values[r] = value
+            labels[r] = _RESIDUE_LABELS[two.astype(np.intp)]
+
+        rest = (~residue).nonzero()[0]
+        columns = (theta, th0, th1, double, at_theta, lam, at_th0.T, at_th1)
+        integrands = []
+        for j, *point in zip(rest.tolist(), *(c[rest].tolist() for c in columns)):
+            values[j], labels[j], integrand = self._near_value(*point)
+            if integrand is not None:
+                integrands.append((j, point[0], *integrand))
+        if integrands:
+            index, *integrands = zip(*integrands)
+            values[list(index)] += self._contour_pass(alpha, *integrands)
+        return values, labels
+
+    def _contour_pass(self, alpha, thetas, contours, fits):
+        """contour_eval of each (theta, rectangle, quadratic fit) in one
+        call, with theta, the rectangles and the fits as columns."""
+        reals = np.array([
+            (theta, c.left, c.right, c.half_height, *rho.newton_nodes)
+            for theta, c, rho in zip(thetas, contours, fits)
+        ]).T[:, :, None]
+        coeffs = np.array([rho.newton_coeffs for rho in fits]).T[:, :, None]
+        contour = RectContour(*reals[1:4])
+        rho = QuadraticInterpolant(tuple(reals[4:]), tuple(coeffs))
+        return contour_eval(
+            rho, reals[0], alpha, self.basis.p, contour, self.contour_order
+        )
 
     def _zeros_used(self, theta, th0, th1, is_double):
         """The zeros whose numerator the branch of a point within big_h of
@@ -503,11 +580,14 @@ class StabilizedEvaluator:
         order = 2 if hits and confluent else int(hits or confluent)
         return ([th0, th1] if uses_th1 else [th0]), order
 
-    def _near_value(self, theta, alpha, th0, th1, is_double, at_theta, lam,
+    def _near_value(self, theta, th0, th1, is_double, at_theta, lam,
                     at_th0, at_th1):
-        """Value and branch label of a point within big_h of a zero, from
-        the numerator at theta, theta0 and theta0' (at_th0 also holds the
-        derivatives the point needs) and Lambda at theta."""
+        """Branch of a point within big_h of a zero, from the numerator at
+        theta, theta0 and theta0' (at_th0 also holds the derivatives the
+        point needs) and Lambda at theta: (value, label, integrand).  The
+        integrand is None, or the (rectangle, quadratic fit) whose contour
+        integral about theta (contour_eval) adds to value.  A sweep takes
+        its residue points to _near_sweep's array form of these rules."""
         p = self.basis.p
         big_h, small_h = self.near_threshold, self.cluster_threshold
         d0, d01 = abs(theta - th0), abs(th0 - th1)
@@ -516,48 +596,43 @@ class StabilizedEvaluator:
             # Lambda''/2 u^2 (1 - p^2 u^2 / 12 + ...): (N'' + p^2 N / 6) /
             # Lambda''; exact data make N vanish doubly there
             second = at_th0[2] + (p * p / 6.0) * at_th0[0]
-            return second / (-(p * p) * math.cos(p * th0)), "lhopital"
+            return second / (-(p * p) * math.cos(p * th0)), "lhopital", None
 
         if d0 >= small_h and not (is_double or d01 < small_h):
             # naive quotient plus explicit corrections
             value = at_theta / lam - _residue_term(p, at_th0[0], th0, theta)
             if d01 < big_h:
-                return value - _residue_term(p, at_th1, th1, theta), "residue:two"
-            return value, "residue:single"
+                value -= _residue_term(p, at_th1, th1, theta)
+                return value, "residue:two", None
+            return value, "residue:single", None
 
         rho = _fit_quadratic(theta, th0, th1, is_double, at_theta, at_th0, at_th1)
         xs = [th0] if is_double else [th0, th1]
         if d0 < small_h:
             if is_double or d01 < small_h:
-                value, _ = self._contour_value(rho, theta, alpha, xs, th1, is_double)
-                return value, "contour:full"
-            value, pulled = self._contour_value(
-                rho, theta, alpha, [th0], th1, is_double
-            )
+                contour, _ = self._rectangle(theta, xs, th1, is_double)
+                return 0.0, "contour:full", (contour, rho)
+            contour, pulled = self._rectangle(theta, [th0], th1, is_double)
+            value = 0.0
             if d01 < big_h and not pulled:
-                value -= _residue_term(p, at_th1, th1, theta)
-            return value, "contour:full"
+                value = -_residue_term(p, at_th1, th1, theta)
+            return value, "contour:full", (contour, rho)
 
         # moderate distance from a clustered pair or a double zero: with
         # theta outside the rectangle, the integral around the zeros alone
         # is minus the principal part of rho / Lambda there
         contour = rect_contour(xs, small_h)
         if contour.reaches(theta):
-            value, _ = self._contour_value(rho, theta, alpha, xs, th1, is_double)
-            return value, "contour:full"
-        correction = contour_eval(rho, theta, alpha, p, contour, self.contour_order)
-        return at_theta / lam + complex(correction), "contour:pair"
+            contour, _ = self._rectangle(theta, xs, th1, is_double)
+            return 0.0, "contour:full", (contour, rho)
+        return at_theta / lam, "contour:pair", (contour, rho)
 
-    def _contour_value(self, rho, theta, alpha, xs, th1, is_double):
-        """Contour integral around theta and the zeros xs; an excluded
-        zero th1 drifting onto the contour gets pulled inside.  Returns the
-        value and whether th1 was pulled in."""
+    def _rectangle(self, theta, xs, th1, is_double):
+        """Rectangle around theta and the zeros xs; an excluded zero th1
+        drifting onto it gets pulled inside.  Returns the rectangle and
+        whether th1 was pulled in."""
         contour = rect_contour([theta] + xs, self.cluster_threshold)
-        pulled = False
-        if th1 not in xs and not is_double and contour.reaches(th1):
-            pulled = True
-            contour = rect_contour([theta] + xs + [th1], self.cluster_threshold)
-        value = contour_eval(
-            rho, theta, alpha, self.basis.p, contour, self.contour_order
-        )
-        return complex(value), pulled
+        if th1 in xs or is_double or not contour.reaches(th1):
+            return contour, False
+        return rect_contour([theta] + xs + [th1], self.cluster_threshold), True
+

@@ -60,10 +60,6 @@ class RationalShape:
             return [(v[0], v[1])]
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
-    @property
-    def perimeter(self):
-        return float(sum(np.linalg.norm(b - a) for a, b in self.edges))
-
 
 def derive_rational_data(angles):
     """(p, q, m) for a sequence of exterior angles, Fractions of pi.

@@ -92,6 +92,27 @@ class TrigFarFields:
         return np.stack([f.value(theta, order) for f in self.fields], axis=-1)
 
 
+# Relative data error is amplified by at most this constant (times
+# (1 + 1/(2 h^2)) and the coefficient norm) anywhere on the real line.
+STABILITY_CONSTANT = (
+    128.0
+    * (5.0 * math.pi + 4.0 * math.log(3.0 + math.pi**2 / 64.0))
+    * (6.0 + math.pi**2 / 64.0)
+    / math.pi**4
+)
+
+
+def error_constant(coefficient_norm=1.0):
+    """Worst-case input-to-output error amplification, up to the
+    (1 + 1/(2 h^2)) contour factor."""
+    return STABILITY_CONSTANT * coefficient_norm
+
+
+def perimeter(shape):
+    """Total edge length of a geometry.RationalShape."""
+    return float(sum(np.linalg.norm(b - a) for a, b in shape.edges))
+
+
 def angle_distance(a, b=0.0):
     """Distance on the circle, in [0, pi]."""
     d = np.mod(np.asarray(a) - b, 2.0 * np.pi)

@@ -1,6 +1,7 @@
 """Pole geometry, weight-function bounds, and the stabilized evaluator."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from embedfar.embedding import (
     StabilizedEvaluator,
     _fit_quadratic,
     contour_eval,
-    error_constant,
     lambda_weight,
     naive_eval,
     pole_environment,
@@ -34,6 +34,7 @@ from helpers import (
     TrigFarFields,
     angle_distance,
     closed_form,
+    error_constant,
     exact_coefficients,
     random_trig,
     rank_one_family,
@@ -664,7 +665,9 @@ def _noisy_evaluator(p, seed, fields_type=TrigFarFields):
 
 def _assert_matches_oracle(evaluator, thetas, alpha):
     """evaluate_sweep and evaluate against the scalar dispatcher: equal
-    labels, values within 1e-12 of the sweep's largest value."""
+    labels, values within 1e-12 of the sweep's largest value.  The
+    sweep's contour values, integrated together in one pass, stay within
+    1e-14 of the oracle's one contour_eval call per point."""
     try:
         expected, expected_labels = scalar_sweep(evaluator, thetas, alpha)
     except Exception as exc:  # the array code must fail the same way
@@ -674,7 +677,10 @@ def _assert_matches_oracle(evaluator, thetas, alpha):
     scale = float(np.max(np.abs(expected)))
     values, labels = evaluator.evaluate_sweep(thetas, alpha)
     assert labels.tolist() == expected_labels.tolist()
-    assert float(np.max(np.abs(values - expected))) <= 1e-12 * scale
+    errors = np.abs(values - expected)
+    assert float(np.max(errors)) <= 1e-12 * scale
+    contour = np.array([label.startswith("contour") for label in labels])
+    assert float(np.max(errors[contour], initial=0.0)) <= 1e-14 * scale
     for theta, want, want_label in zip(thetas, expected, expected_labels):
         value, label = evaluator.evaluate_with_branch(theta, alpha)
         assert label == want_label
@@ -821,3 +827,88 @@ def test_far_field_calls_per_sweep():
     sizes.clear()
     evaluator.evaluate_sweep(edited.copy(), alphas[2])
     assert sizes.count(len(grid)) == 0
+
+
+def test_one_contour_pass_per_sweep(monkeypatch):
+    # every rectangle of a sweep goes to contour_eval in one call, one row
+    # per contour point; a one-point query passes its single rectangle
+    p = 3
+    rows = []
+
+    def counting(rho, theta, *args):
+        rows.append(np.size(theta))
+        return contour_eval(rho, theta, *args)
+
+    monkeypatch.setattr("embedfar.embedding.contour_eval", counting)
+    evaluator = _noisy_evaluator(p, seed=46)
+    grid = np.linspace(0.0, TWO_PI, 120, endpoint=False)
+    alphas = [0.3, math.pi / p, math.pi / p + 1e-6, math.pi / p + 0.004, 1.7]
+    gathered = []
+    for alpha in alphas:
+        zeros = pole_set(alpha, p)
+        thetas = np.concatenate([grid, zeros + 0.003, zeros - 0.05])
+        rows.clear()
+        _, labels = evaluator.evaluate_sweep(thetas, alpha)
+        contour_points = sum(label.startswith("contour") for label in labels)
+        assert len(rows) <= 1
+        assert sum(rows) == contour_points
+        gathered += rows
+    assert max(gathered) >= 2 * p
+    rows.clear()
+    _, label = evaluator.evaluate_with_branch(float(pole_set(0.3, p)[0]) + 0.003, 0.3)
+    assert label == "contour:full"
+    assert rows == [1]
+
+
+def test_sweep_raises_when_a_rectangle_touches_a_pole():
+    # a clearance of 1e-13 puts the rectangle round theta on a simple zero
+    # within 1e-13 of the zero and of theta
+    noisy = _noisy_evaluator(2, seed=47)
+    evaluator = StabilizedEvaluator(
+        basis=noisy.basis, coefficients=noisy.coefficients, cluster_threshold=1e-13
+    )
+    alpha = 0.8
+    chi = float(pole_set(alpha, 2)[0])
+    thetas = np.concatenate([[chi], np.linspace(0.0, TWO_PI, 16, endpoint=False)])
+    with pytest.raises(PoleOnContour):
+        evaluator.evaluate_sweep(thetas, alpha)
+    with pytest.raises(PoleOnContour):
+        evaluator.evaluate(chi, alpha)
+
+
+def test_branch_counts_tally_every_returned_label():
+    p = 3
+    evaluator = _noisy_evaluator(p, seed=48)
+    grid = np.linspace(0.0, TWO_PI, 90, endpoint=False)
+    returned = Counter()
+    for alpha in (0.3, math.pi / p, math.pi / p + 0.004, math.pi / p + 0.05):
+        zeros = pole_set(alpha, p)
+        thetas = np.concatenate([grid, zeros, zeros + 0.005, zeros + 0.03])
+        _, labels = evaluator.evaluate_sweep(thetas, alpha)
+        returned.update(labels.tolist())
+        for theta in thetas[::7]:
+            returned[evaluator.evaluate_with_branch(theta, alpha)[1]] += 1
+    assert set(returned) == {
+        "naive", "residue:single", "residue:two", "contour:pair",
+        "contour:full", "lhopital",
+    }
+    assert dict(evaluator.branch_counts) == dict(returned)
+
+
+@pytest.mark.parametrize("shape", ["square", "pentagon"])
+def test_sweep_matches_points_on_bem_pipelines(shape):
+    # the far fields of a real solve, not a Fourier family: the one-point
+    # path and the sweep read them through different array shapes
+    pipeline = build_pipeline(ExperimentConfig(shape=shape, k=5.0))
+    evaluator, p = pipeline.evaluator, pipeline.shape.p
+    thetas = np.linspace(0.0, TWO_PI, 120, endpoint=False)
+    seen = set()
+    for alpha in (0.0, math.pi / p, math.pi / p + 1e-7, 2.1):
+        values, labels = evaluator.evaluate_sweep(thetas, alpha)
+        scale = float(np.max(np.abs(values)))
+        for theta, value, label in zip(thetas, values, labels):
+            point, point_label = evaluator.evaluate_with_branch(theta, alpha)
+            assert point_label == label, (alpha, theta)
+            assert abs(point - value) <= 1e-12 * scale, (alpha, theta, label)
+        seen.update(labels.tolist())
+    assert {"lhopital", "contour:pair", "contour:full", "residue:single"} <= seen

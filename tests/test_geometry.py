@@ -17,6 +17,7 @@ from embedfar.geometry import (
     rationalize_angle,
     shape_from_vertices,
 )
+from helpers import perimeter
 
 EXPECTED_INTEGERS = {
     "square": (2, (3, 3, 3, 3), 8),
@@ -95,7 +96,7 @@ def test_scaling_preserves_integers():
     shape = shape_from_vertices(base.vertices * 2.5)
     assert (shape.p, shape.m) == (base.p, base.m)
     assert sorted(shape.q) == sorted(base.q)
-    assert abs(shape.perimeter - 2.5 * base.perimeter) <= 1e-9
+    assert abs(perimeter(shape) - 2.5 * perimeter(base)) <= 1e-9
 
 
 def test_orientation_is_normalized():
