@@ -336,8 +336,12 @@ def assemble(mesh, k):
     chunk = max(1, _ASSEMBLY_CHUNK // flat_nodes.shape[0])
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        diff = targets[lo:hi, None, :] - flat_nodes[None, :, :]
-        r = np.linalg.norm(diff, axis=2)
+        # distances rounded as np.linalg.norm rounds them, without its
+        # (targets, nodes, 2) temporary
+        r = np.sqrt(
+            np.square(targets[lo:hi, 0, None] - flat_nodes[:, 0])
+            + np.square(targets[lo:hi, 1, None] - flat_nodes[:, 1])
+        )
         kernel = 0.25j * hankel1(0, np.maximum(k * r, 1e-280))
         matrix[lo:hi] = (kernel * flat_weights[None, :]).reshape(
             hi - lo, n, order_far
@@ -393,7 +397,8 @@ class FarField:
     accepts real or complex observation angles and returns shape(theta),
     plus (n,) for stacked solves, as rows(theta) @ modes, where a row is
     e^{in theta} P(theta) mult with P the centre's phase and mult the exact
-    derivative multiplier.  A product of threaded size runs through scipy's
+    derivative multiplier; derivatives() stacks the orders 0..order from
+    one exp and one product.  A product of threaded size runs through scipy's
     BLAS, as the solves do (see BemSystem), so that an evaluator's grid does
     not wake numpy's worker threads beside scipy's, which still spin after
     a set-up; smaller ones use numpy's, which costs less per call.
@@ -405,11 +410,11 @@ class FarField:
     centre: np.ndarray  # (2,)
     modes: np.ndarray  # (2N+1,) or (2N+1, n)
     numbers: np.ndarray = field(init=False, repr=False)
-    _i_numbers: np.ndarray = field(init=False, repr=False)
+    _i_numbers: np.ndarray = field(init=False, repr=False)  # (1, 2N+1)
 
     def __post_init__(self):
         self.numbers = np.arange(len(self.modes)) - self.degree
-        self._i_numbers = 1j * self.numbers
+        self._i_numbers = 1j * self.numbers[None, :]
 
     @property
     def degree(self):
@@ -434,10 +439,27 @@ class FarField:
 
     def rows(self, theta, order=0):
         """The (size(theta), 2N+1) matrix e^{in theta} P(theta) mult that
-        value() multiplies into the modes; theta is flattened.  For one
-        real angle given as a float, cos and sin come from math and the
-        centre's phase is scalar arithmetic, rounded as the array form
-        rounds it; one exp over the modes follows."""
+        value() multiplies into the modes; theta is flattened."""
+        return self._rows_through(theta, order)[order]
+
+    def value(self, theta, order=0):
+        values = self._product(self.rows(theta, order))
+        # [()] turns the 0-d result of a scalar theta into a scalar
+        return values.reshape(np.shape(theta) + self.modes.shape[1:])[()]
+
+    def derivatives(self, theta, order):
+        """value(theta, j) for j = 0..order, stacked with shape
+        (order + 1,) + shape(theta) + modes.shape[1:]: one exp over the
+        modes and one product for all orders."""
+        rows = self._rows_through(theta, order)
+        values = self._product(np.concatenate(rows) if order else rows[0])
+        shape = (order + 1,) + np.shape(theta) + self.modes.shape[1:]
+        return values.reshape(shape)
+
+    def _rows_through(self, theta, order):
+        """[rows(theta, j) for j = 0..order] from one exp.  For one real
+        angle given as a float, cos and sin come from math and the centre's
+        phase is scalar arithmetic, rounded as the array form rounds it."""
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
         if isinstance(theta, float):
@@ -449,18 +471,17 @@ class FarField:
         # P(theta) = e^g; g'' = -g, so D' = P (g' + in) and
         # D'' = P ((g' + in)^2 - g) mode by mode
         g = -1j * self.k * (c1 * cos + c2 * sin)
-        rows = np.exp(g + i_n * t)
+        rows = [np.exp(g + i_n * t)]
         if order:
             slope = -1j * self.k * (c2 * cos - c1 * sin) + i_n
-            rows *= slope if order == 1 else slope * slope - g
-        return rows.reshape(-1, len(i_n))
+            rows.append(rows[0] * slope)
+        if order == 2:
+            rows.append(rows[0] * (slope * slope - g))
+        return rows
 
-    def value(self, theta, order=0):
-        rows = self.rows(theta, order)
+    def _product(self, rows):
+        """rows @ modes, through scipy's BLAS at threaded size."""
         if self.modes.ndim == 2 and rows.size * self.modes.shape[1] > _THREADED_GEMM:
             # (modes^T rows^T)^T; the stacked modes are Fortran-ordered
-            values = zgemm(1.0, self.modes, rows.T, trans_a=1).T
-        else:
-            values = rows @ self.modes
-        # [()] turns the 0-d result of a scalar theta into a scalar
-        return values.reshape(np.shape(theta) + self.modes.shape[1:])[()]
+            return zgemm(1.0, self.modes, rows.T, trans_a=1).T
+        return rows @ self.modes

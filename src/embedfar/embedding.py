@@ -183,7 +183,8 @@ class EmbeddingBasis:
     returns D^(order)(theta, angles[m]) with shape shape(theta) + (m,) for
     real or complex theta and orders 0..2, and equals
     far_fields.rows(theta, order) @ far_fields.modes, the form the
-    coefficient map reads (bem.FarField does).  offset
+    coefficient map reads (bem.FarField does); far_fields.derivatives(theta,
+    order) stacks value(theta, j) for j = 0..order.  offset
     holds lambda_offset(angles[m], p), so that Lambda(theta, angles[m]) =
     cos(p theta) + offset[m].
     """
@@ -205,17 +206,18 @@ class EmbeddingBasis:
     def hat_values(self, theta, order=0):
         """Weighted patterns hat_D(theta, alpha_m) = Lambda * D and their
         theta-derivatives through `order` (Leibniz rule), stacked with
-        shape (order + 1,) + shape(theta) + (m,); one far-field call per
-        order."""
+        shape (order + 1,) + shape(theta) + (m,); one far-field call for
+        every order, and the weights from one cos and one sin."""
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
         theta = np.asarray(theta)
-        fields = [self.far_fields.value(theta, j) for j in range(order + 1)]
-        weights = [np.cos(self.p * theta[..., None]) + self.offset] + [
-            lambda_weight(theta[..., None], self.angles, self.p, j)
-            for j in range(1, order + 1)
-        ]
-        out = np.empty((order + 1,) + fields[0].shape, dtype=np.complex128)
+        fields = self.far_fields.derivatives(theta, order)
+        p_theta = self.p * theta[..., None]
+        cos = np.cos(p_theta)
+        weights = [cos + self.offset]
+        if order:
+            weights += [-self.p * np.sin(p_theta), -(self.p * self.p) * cos]
+        out = np.empty(fields.shape, dtype=np.complex128)
         for n in range(order + 1):
             out[n] = weights[n] * fields[0]
             for j in range(1, n + 1):

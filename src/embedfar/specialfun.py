@@ -1,10 +1,11 @@
-"""Self-contained special-function kernels: Hankel functions of the first kind
-of orders zero and one, Gauss-Legendre quadrature rules, and the Newton-form
-quadratic that the near-pole contour integrals integrate.
+"""Special-function kernels: Hankel functions H0 and H1 of the first kind,
+Gauss-Legendre quadrature rules, and the Newton-form quadratic that the
+near-pole contour integrals integrate.
 
-Everything here is evaluated from scratch (power series, asymptotic series,
-Newton iteration) so that accuracy can be audited against high-precision
-oracles without trusting a third-party implementation.
+H = J + iY comes from scipy's Cephes routines j0, j1, y0 and y1 (Moshier,
+Methods and Programs for Mathematical Functions, 1989); frozen 50-digit
+values, dense mpmath scans, the Wronskian and acceptance criterion 12 audit
+it.  The Gauss-Legendre rules come from Newton iteration here.
 """
 
 from __future__ import annotations
@@ -12,92 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 EULER_GAMMA = 0.57721566490153286061
 
-# Ascending series below, Hankel's asymptotic expansion above.  The split
-# point balances series cancellation (~e^{2x} * eps) against the smallest
-# attainable asymptotic term (~e^{-2x}); both stay below 1e-11 at 12.
-_SERIES_CUTOFF = 12.0
-_SERIES_TERMS = 80
-_ASYMPTOTIC_TERMS = 40
-
 MAX_RULE_SIZE = 200  # largest Gauss-Legendre rule gauss_legendre builds
-
-
-def _harmonic_numbers(count):
-    h = np.zeros(count + 1)
-    h[1:] = np.cumsum(1.0 / np.arange(1, count + 1))
-    return h
-
-
-_HARMONIC = _harmonic_numbers(_SERIES_TERMS + 1)
-
-
-def _hankel1_series(order, x):
-    """Ascending-series J + iY for x <= _SERIES_CUTOFF."""
-    q = 0.25 * x * x
-    log_half = np.log(0.5 * x) + EULER_GAMMA
-
-    if order == 0:
-        term = np.ones_like(x)
-        j = term.copy()
-        ysum = np.zeros_like(x)
-        for m in range(1, _SERIES_TERMS):
-            term = -term * q / (m * m)
-            j += term
-            ysum -= term * _HARMONIC[m]
-            if np.all(np.abs(term) < 1e-18):
-                break
-        y = (2.0 / np.pi) * (log_half * j + ysum)
-        return j + 1j * y
-
-    term = np.ones_like(x)
-    jsum = term.copy()
-    ysum = (_HARMONIC[0] + _HARMONIC[1]) * term
-    for m in range(1, _SERIES_TERMS):
-        term = -term * q / (m * (m + 1))
-        jsum += term
-        ysum += (_HARMONIC[m] + _HARMONIC[m + 1]) * term
-        if np.all(np.abs(term) < 1e-18):
-            break
-    j = 0.5 * x * jsum
-    y = (2.0 / np.pi) * (log_half * j - 1.0 / x - 0.25 * x * ysum)
-    return j + 1j * y
-
-
-def _hankel1_asymptotic(order, x):
-    """Hankel expansion H_nu ~ sqrt(2/(pi x)) e^{i omega} sum i^k a_k(nu)/x^k.
-
-    Coefficients follow the recurrence a_k = a_{k-1} (4 nu^2 - (2k-1)^2)/(8k).
-    Terms are summed to the adaptive optimal truncation point of the smallest
-    argument in the batch; later terms only shrink for larger arguments.
-    """
-    four_nu_sq = 4.0 * order * order
-    x_min = float(np.min(x))
-
-    coeff = 1.0
-    best_k = _ASYMPTOTIC_TERMS
-    prev = np.inf
-    scaled = []
-    for k in range(1, _ASYMPTOTIC_TERMS + 1):
-        coeff *= (four_nu_sq - (2 * k - 1) ** 2) / (8.0 * k)
-        size = abs(coeff) / x_min**k
-        scaled.append(coeff)
-        if size >= prev:
-            best_k = k - 1
-            break
-        prev = size
-
-    total = np.ones_like(x, dtype=np.complex128)
-    term = np.ones_like(x, dtype=np.complex128)
-    for k in range(1, best_k + 1):
-        ratio = scaled[k - 1] / scaled[k - 2] if k > 1 else scaled[0]
-        term = term * (1j * ratio / x)
-        total += term
-
-    omega = x - 0.5 * np.pi * order - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * np.exp(1j * omega) * total
 
 
 def hankel1(order, x):
@@ -108,7 +28,9 @@ def hankel1(order, x):
     order : int
         0 or 1.
     x : float or ndarray
-        Positive real argument(s); relative accuracy 1e-10 on (0, 1e4].
+        Positive real argument(s); relative error at most 3.1e-15 against
+        mpmath on [1e-4, 20], and of the order of x times the rounding of x
+        beyond (5.4e-13 at 1e4).
 
     Returns
     -------
@@ -122,12 +44,10 @@ def hankel1(order, x):
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("argument must be positive, real and finite")
 
+    j, y = (special.j0, special.y0) if order == 0 else (special.j1, special.y1)
     out = np.empty(arr.shape, dtype=np.complex128)
-    small = arr <= _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _hankel1_series(order, arr[small])
-    if np.any(~small):
-        out[~small] = _hankel1_asymptotic(order, arr[~small])
+    j(arr, out=out.real)
+    y(arr, out=out.imag)
     return out[0] if scalar else out
 
 

@@ -63,10 +63,11 @@ class TrigFarField:
 class TrigFarFields:
     """Several TrigFarField patterns behind the stacked surface of
     bem.FarField: value(theta, order) has shape shape(theta) + (n,), and
-    len() and [m] give the patterns one at a time.  modes holds the Fourier
-    coefficients c_-N..c_N of each pattern, (2N+1, n), and rows(theta,
-    order) the (size(theta), 2N+1) matrix (in)^order e^{in theta}, so that
-    value equals rows @ modes up to rounding."""
+    len() and [m] give the patterns one at a time, and derivatives(theta,
+    order) stacks value(theta, j) for j = 0..order.  modes holds the
+    Fourier coefficients c_-N..c_N of each pattern, (2N+1, n), and
+    rows(theta, order) the (size(theta), 2N+1) matrix (in)^order
+    e^{in theta}, so that value equals rows @ modes up to rounding."""
 
     def __init__(self, fields):
         self.fields = list(fields)
@@ -90,6 +91,9 @@ class TrigFarFields:
 
     def value(self, theta, order=0):
         return np.stack([f.value(theta, order) for f in self.fields], axis=-1)
+
+    def derivatives(self, theta, order):
+        return np.stack([self.value(theta, j) for j in range(order + 1)])
 
 
 # Relative data error is amplified by at most this constant (times

@@ -797,6 +797,11 @@ def test_far_field_calls_per_sweep():
             sizes.append(np.size(theta))
             return super().value(theta, order)
 
+        def derivatives(self, theta, order):
+            sizes.append(np.size(theta))
+            value = super().value  # the orders of one call count once
+            return np.stack([value(theta, j) for j in range(order + 1)])
+
     evaluator = _noisy_evaluator(p, seed=45, fields_type=Counting)
     grid = np.linspace(0.0, TWO_PI, 120, endpoint=False)
     alphas = [0.3, math.pi / p, math.pi / p + 1e-6, 1.7, 2.0 * math.pi / p]
@@ -809,11 +814,11 @@ def test_far_field_calls_per_sweep():
     assert len(grid_calls) == 1
     for calls in per_sweep:
         further = [n for n in calls if n != len(grid)]
-        # one call per derivative order on the zeros the near points use;
-        # a zero near theta = 0 = 2 pi can enter through two
+        # one call for every derivative order on the zeros the near points
+        # use; a zero near theta = 0 = 2 pi can enter through two
         # representatives 2 pi apart
-        assert 1 <= len(further) <= 3
-        assert max(further) <= 2 * p + 2
+        assert len(further) == 1
+        assert further[0] <= 2 * p + 2
 
     edited = grid.copy()
     edited += 0.01

@@ -40,6 +40,21 @@ def test_hankel_matches_mpmath_scan():
             assert abs(complex(got) - expected) <= 1e-10 * abs(expected)
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_hankel_matches_mpmath_on_assembly_range(order):
+    # bem.assemble's arguments reach 14.1 at k = 10; the dense scan covers
+    # them, and the fine one crosses 12, where a switch from an ascending
+    # series to an asymptotic expansion would lose the most digits
+    xs = np.concatenate(
+        [np.geomspace(1e-4, 20.0, 400), np.linspace(11.5, 12.5, 101)]
+    )
+    values = hankel1(order, xs)
+    with mpmath.workdps(30):
+        expected = [complex(mpmath.hankel1(order, float(x))) for x in xs]
+    worst = max(abs(complex(v) - e) / abs(e) for v, e in zip(values, expected))
+    assert worst <= 1e-13
+
+
 def test_hankel_wronskian_identity():
     # J_0(x) Y_1(x) - J_1(x) Y_0(x) = -2 / (pi x)
     for x in (0.1, 1.0, 10.0, 100.0):
