@@ -342,10 +342,12 @@ def assemble(mesh, k):
             np.square(targets[lo:hi, 0, None] - flat_nodes[:, 0])
             + np.square(targets[lo:hi, 1, None] - flat_nodes[:, 1])
         )
-        kernel = 0.25j * hankel1(0, np.maximum(k * r, 1e-280))
-        matrix[lo:hi] = (kernel * flat_weights[None, :]).reshape(
-            hi - lo, n, order_far
-        ).sum(axis=2)
+        # k r and the kernel in place: one distance-sized array of each kind
+        r *= k
+        kernel = hankel1(0, np.maximum(r, 1e-280, out=r))
+        del r
+        kernel *= 0.25j * flat_weights
+        matrix[lo:hi] = kernel.reshape(hi - lo, n, order_far).sum(axis=2)
 
     # redo near and self entries in one batched pass over all pairs, with
     # the log part integrated analytically

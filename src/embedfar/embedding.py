@@ -26,7 +26,6 @@ DEFAULT_NEAR_THRESHOLD = 0.15  # outer radius H: below it, corrections kick in
 DEFAULT_CLUSTER_THRESHOLD = 0.01  # inner radius h: below it, contours kick in
 DEFAULT_CONTOUR_ORDER = 20
 
-_EXACT = 1e-13
 # Interpolation nodes closer than this are merged into derivative
 # conditions: a Newton divided difference over a gap g amplifies the
 # rounding noise of the numerator by 1/g^2, while merging costs an
@@ -53,19 +52,12 @@ def reduce_angle(theta):
     return np.mod(theta, _TWO_PI)
 
 
-def lambda_weight(theta, alpha, p, order=0):
-    """Weight function Lambda(theta, alpha) and its theta-derivatives.
+def lambda_weight(theta, alpha, p):
+    """Weight function Lambda(theta, alpha).
 
     theta may be real or complex, scalar or array; alpha is real.
     """
-    theta = np.asarray(theta)
-    if order == 0:
-        return np.cos(p * theta) + lambda_offset(alpha, p)
-    if order == 1:
-        return -p * np.sin(p * theta)
-    if order == 2:
-        return -(p * p) * np.cos(p * theta)
-    raise ValueError("order must be 0, 1 or 2")
+    return np.cos(p * np.asarray(theta)) + lambda_offset(alpha, p)
 
 
 def lambda_offset(alpha, p):
@@ -344,7 +336,7 @@ def contour_eval(numerator_fn, theta, alpha, p, contour, order=DEFAULT_CONTOUR_O
     return (values * weights).sum(axis=-1) / (2j * math.pi)
 
 
-def _fit_quadratic(theta, th0, th1, is_double, at_theta, at_th0, at_th1):
+def _fit_quadratic(theta, th0, th1, at_theta, at_th0, at_th1):
     """Quadratic fit of the numerator at {theta, theta0, theta0'} in Newton
     form, from its values there; at_th0 holds the value at theta0 and,
     where needed, its first and second derivatives.
@@ -352,10 +344,11 @@ def _fit_quadratic(theta, th0, th1, is_double, at_theta, at_th0, at_th1):
     Nodes closer together than the confluence gate are merged into
     derivative conditions at theta0 (all three merging into a local
     Taylor polynomial), which keeps the divided differences clear of
-    catastrophic cancellation.  theta0 is the zero nearest theta, so nodes
-    left distinct are more than _CONFLUENT apart.
+    catastrophic cancellation; a double zero is theta0' = theta0.  theta0
+    is the zero nearest theta, so nodes left distinct are more than
+    _CONFLUENT apart.
     """
-    confluent = is_double or abs(th0 - th1) <= _CONFLUENT
+    confluent = abs(th0 - th1) <= _CONFLUENT
     theta_hits_pole = abs(theta - th0) <= _CONFLUENT
     if theta_hits_pole and confluent:
         return QuadraticInterpolant(
@@ -489,26 +482,26 @@ class StabilizedEvaluator:
         return self._grid[1]
 
     def _near(self, theta, alpha, lam):
-        """(theta0, theta0', is_double) when theta lies within big_h of a
-        zero of Lambda(., alpha), else None; lam is Lambda(theta, alpha),
-        and |Lambda| <= p d0 lets a larger one skip the zeros."""
+        """(theta0, theta0') when theta lies within big_h of a zero of
+        Lambda(., alpha), else None; lam is Lambda(theta, alpha), and
+        |Lambda| <= p d0 lets a larger one skip the zeros."""
         p, big_h = self.basis.p, self.near_threshold
         if abs(lam) > p * big_h:
             return None
-        th0, th1, _, double = _environment(theta, alpha, p)
-        return (th0, th1, double) if abs(theta - th0) < big_h else None
+        th0, th1, _, _ = _environment(theta, alpha, p)
+        return (th0, th1) if abs(theta - th0) < big_h else None
 
     def _near_points(self, thetas, alpha, lam):
         """_near on arrays: the indices of the points within big_h of a
-        zero, and their theta, theta0, theta0' and is_double."""
+        zero, and their theta, theta0 and theta0'."""
         p, big_h = self.basis.p, self.near_threshold
         index = (np.abs(lam) <= p * big_h).nonzero()[0]
         theta = thetas[index]
-        th0, th1, double = _environments(theta, alpha, p)
+        th0, th1, _ = _environments(theta, alpha, p)
         near = np.abs(theta - th0) < big_h
-        return tuple(c[near] for c in (index, theta, th0, th1, double))
+        return tuple(c[near] for c in (index, theta, th0, th1))
 
-    def _near_sweep(self, alpha, b, theta, th0, th1, double, at_theta, lam):
+    def _near_sweep(self, alpha, b, theta, th0, th1, at_theta, lam):
         """Values and labels of a sweep's points within big_h of a zero:
         the zeros they use and the residue branches on arrays, every other
         point by _near_value, and one contour_eval call for all of their
@@ -518,8 +511,8 @@ class StabilizedEvaluator:
         # _zeros_used on arrays: the numerator at every zero a point reads,
         # through the highest derivative order any point needs
         d0, d01 = np.abs(theta - th0), np.abs(th0 - th1)
-        uses_th1 = ~double & ((d0 < small_h) | (d01 < big_h))
-        hits, confluent = d0 <= _CONFLUENT, double | (d01 <= _CONFLUENT)
+        uses_th1 = (d01 > 0.0) & ((d0 < small_h) | (d01 < big_h))
+        hits, confluent = d0 <= _CONFLUENT, d01 <= _CONFLUENT
         order = int((hits | confluent).any()) + int((hits & confluent).any())
         used = np.concatenate([th0, th1[uses_th1]])
         zeros = np.unique(used)
@@ -532,7 +525,7 @@ class StabilizedEvaluator:
         values = np.empty(m, dtype=np.complex128)
         labels = np.empty(m, dtype=object)
 
-        residue = (d0 >= small_h) & ~(double | (d01 < small_h))
+        residue = (d0 >= small_h) & (d01 >= small_h)
         r = residue.nonzero()[0]
         if len(r):
             value = at_theta[r] / lam[r] - _residue_terms(
@@ -545,7 +538,7 @@ class StabilizedEvaluator:
             labels[r] = _RESIDUE_LABELS[two.astype(np.intp)]
 
         rest = (~residue).nonzero()[0]
-        columns = (theta, th0, th1, double, at_theta, lam, at_th0.T, at_th1)
+        columns = (theta, th0, th1, at_theta, lam, at_th0.T, at_th1)
         integrands = []
         for j, *point in zip(rest.tolist(), *(c[rest].tolist() for c in columns)):
             values[j], labels[j], integrand = self._near_value(*point)
@@ -570,37 +563,32 @@ class StabilizedEvaluator:
             rho, reals[0], alpha, self.basis.p, contour, self.contour_order
         )
 
-    def _zeros_used(self, theta, th0, th1, is_double):
+    def _zeros_used(self, theta, th0, th1):
         """The zeros whose numerator the branch of a point within big_h of
-        th0 reads, and the derivative order its quadratic fit or l'Hopital's
-        rule needs there."""
+        th0 reads, and the derivative order its quadratic fit needs at th0;
+        th1 is read only where it differs from th0."""
         d0, d01 = abs(theta - th0), abs(th0 - th1)
-        uses_th1 = not is_double and (
+        uses_th1 = d01 > 0.0 and (
             d0 < self.cluster_threshold or d01 < self.near_threshold
         )
-        hits, confluent = d0 <= _CONFLUENT, is_double or d01 <= _CONFLUENT
+        hits, confluent = d0 <= _CONFLUENT, d01 <= _CONFLUENT
         order = 2 if hits and confluent else int(hits or confluent)
         return ([th0, th1] if uses_th1 else [th0]), order
 
-    def _near_value(self, theta, th0, th1, is_double, at_theta, lam,
-                    at_th0, at_th1):
+    def _near_value(self, theta, th0, th1, at_theta, lam, at_th0, at_th1):
         """Branch of a point within big_h of a zero, from the numerator at
         theta, theta0 and theta0' (at_th0 also holds the derivatives the
         point needs) and Lambda at theta: (value, label, integrand).  The
         integrand is None, or the (rectangle, quadratic fit) whose contour
-        integral about theta (contour_eval) adds to value.  A sweep takes
-        its residue points to _near_sweep's array form of these rules."""
+        integral about theta (contour_eval) adds to value.  A double zero
+        is a clustered pair at distance zero; on it the contour integral is
+        the regular part (N'' + p^2 N / 6) / Lambda'' by the residue
+        theorem.  A sweep takes its residue points to _near_sweep's array
+        form of these rules."""
         p = self.basis.p
         big_h, small_h = self.near_threshold, self.cluster_threshold
         d0, d01 = abs(theta - th0), abs(th0 - th1)
-        if d0 <= _EXACT and is_double:
-            # the regular part of N / Lambda at theta0, where Lambda =
-            # Lambda''/2 u^2 (1 - p^2 u^2 / 12 + ...): (N'' + p^2 N / 6) /
-            # Lambda''; exact data make N vanish doubly there
-            second = at_th0[2] + (p * p / 6.0) * at_th0[0]
-            return second / (-(p * p) * math.cos(p * th0)), "lhopital", None
-
-        if d0 >= small_h and not (is_double or d01 < small_h):
+        if d0 >= small_h and d01 >= small_h:
             # naive quotient plus explicit corrections
             value = at_theta / lam - _residue_term(p, at_th0[0], th0, theta)
             if d01 < big_h:
@@ -608,33 +596,23 @@ class StabilizedEvaluator:
                 return value, "residue:two", None
             return value, "residue:single", None
 
-        rho = _fit_quadratic(theta, th0, th1, is_double, at_theta, at_th0, at_th1)
-        xs = [th0] if is_double else [th0, th1]
-        if d0 < small_h:
-            if is_double or d01 < small_h:
-                contour, _ = self._rectangle(theta, xs, th1, is_double)
-                return 0.0, "contour:full", (contour, rho)
-            contour, pulled = self._rectangle(theta, [th0], th1, is_double)
-            value = 0.0
-            if d01 < big_h and not pulled:
+        rho = _fit_quadratic(theta, th0, th1, at_theta, at_th0, at_th1)
+        if d0 >= small_h:
+            # moderate distance from a clustered pair or a double zero: with
+            # theta outside the rectangle, the integral around the zeros
+            # alone is minus the principal part of rho / Lambda there
+            contour = rect_contour([th0, th1], small_h)
+            if not contour.reaches(theta):
+                return at_theta / lam, "contour:pair", (contour, rho)
+        elif d01 >= small_h:
+            # theta0' stays outside the rectangle round theta and theta0
+            # unless it drifts onto it
+            contour, value = rect_contour([theta, th0], small_h), 0.0
+            if contour.reaches(th1):
+                contour = rect_contour([theta, th0, th1], small_h)
+            elif d01 < big_h:
                 value = -_residue_term(p, at_th1, th1, theta)
             return value, "contour:full", (contour, rho)
-
-        # moderate distance from a clustered pair or a double zero: with
-        # theta outside the rectangle, the integral around the zeros alone
-        # is minus the principal part of rho / Lambda there
-        contour = rect_contour(xs, small_h)
-        if contour.reaches(theta):
-            contour, _ = self._rectangle(theta, xs, th1, is_double)
-            return 0.0, "contour:full", (contour, rho)
-        return at_theta / lam, "contour:pair", (contour, rho)
-
-    def _rectangle(self, theta, xs, th1, is_double):
-        """Rectangle around theta and the zeros xs; an excluded zero th1
-        drifting onto it gets pulled inside.  Returns the rectangle and
-        whether th1 was pulled in."""
-        contour = rect_contour([theta] + xs, self.cluster_threshold)
-        if th1 in xs or is_double or not contour.reaches(th1):
-            return contour, False
-        return rect_contour([theta] + xs + [th1], self.cluster_threshold), True
+        contour = rect_contour([theta, th0, th1], small_h)
+        return 0.0, "contour:full", (contour, rho)
 

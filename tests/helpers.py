@@ -15,7 +15,6 @@ import numpy as np
 
 from embedfar.bem import _NEAR_QUAD_ORDER, _smooth_kernel_part, hankel1
 from embedfar.embedding import (
-    _EXACT,
     DoublePoleInSimpleBranch,
     _fit_quadratic,
     contour_eval,
@@ -178,6 +177,11 @@ def true_value(T, theta, alpha):
 # per point.  It is the oracle StabilizedEvaluator must reproduce, value for
 # value and label for label.
 
+# every branch label the evaluator returns
+BRANCH_LABELS = frozenset({
+    "naive", "residue:single", "residue:two", "contour:pair", "contour:full",
+})
+
 
 def _scalar_residue_term(basis, b, chi, theta):
     p = basis.p
@@ -201,8 +205,8 @@ def _scalar_quadratic(basis, b, theta, env):
     th0, th1 = env.theta0, env.theta0_prime
     at_th0 = [basis.numerator(b, th0, order=j) for j in range(3)]
     return _fit_quadratic(
-        theta, th0, th1, env.is_double,
-        basis.numerator(b, theta), at_th0, basis.numerator(b, th1),
+        theta, th0, th1, basis.numerator(b, theta), at_th0,
+        basis.numerator(b, th1),
     )
 
 
@@ -243,11 +247,6 @@ def scalar_dispatch(evaluator, theta, alpha):
 
     if d0 >= big_h:
         return naive_eval(basis, b, theta, alpha), "naive"
-
-    if d0 <= _EXACT and env.is_double:
-        second = complex(basis.numerator(b, th0, order=2))
-        second += (p * p / 6.0) * complex(basis.numerator(b, th0))
-        return second / (-(p * p) * math.cos(p * th0)), "lhopital"
 
     if d0 < small_h:
         if env.is_double or d01 < small_h:
@@ -307,7 +306,7 @@ def closed_form(evaluator, theta, alpha):
     big_h = evaluator.near_threshold
     env = pole_environment(theta, alpha, p)
     th0, th1 = env.theta0, env.theta0_prime
-    if env.is_double and abs(theta - th0) <= _EXACT:
+    if env.is_double and abs(theta - th0) <= 1e-13:
         # N / Lambda = (n0 + n1 u + n2 u^2 / 2 + ...) / (a2 u^2 (1 + a4 / a2 u^2))
         a2 = -0.5 * p * p * math.cos(p * th0)
         a4 = p**4 * math.cos(p * th0) / 24.0

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import embedfar.cli as cli
+from helpers import BRANCH_LABELS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -23,6 +24,16 @@ def test_trace_targets_resolve():
         if obj is None:
             missing.append(f"{module_name}:{path}")
     assert not missing, missing
+
+
+def test_tracer_counts_every_branch_label():
+    # the tracer keys its per-branch counts on its own label tuple; a label
+    # the evaluator returns outside it would go uncounted
+    text = (PERFBENCH / "layers.py").read_text()
+    block = re.search(r"^BRANCH_LABELS = \((.*?)^\)", text, re.M | re.S)
+    assert block
+    traced = set(re.findall(r"[\"']([\w:]+)[\"']", block.group(1)))
+    assert BRANCH_LABELS <= traced
 
 
 def test_workload_cli_names_resolve():

@@ -27,15 +27,7 @@ from embedfar.cli import (
 )
 from embedfar.coefficients import NoConvergence
 from embedfar.geometry import MAX_ANGLE_DENOMINATOR
-
-BRANCH_LABELS = {
-    "naive",
-    "lhopital",
-    "contour:full",
-    "contour:pair",
-    "residue:two",
-    "residue:single",
-}
+from helpers import BRANCH_LABELS
 
 
 def test_fmt_formats_cells():

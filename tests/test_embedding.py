@@ -12,7 +12,6 @@ from embedfar.bem import FarField
 from embedfar.cli import ExperimentConfig, build_pipeline
 from embedfar.embedding import (
     _CONFLUENT,
-    _EXACT,
     DEFAULT_CLUSTER_THRESHOLD,
     DEFAULT_CONTOUR_ORDER,
     DEFAULT_NEAR_THRESHOLD,
@@ -29,8 +28,10 @@ from embedfar.embedding import (
     pole_set,
     rect_contour,
 )
+from embedfar.geometry import PRESET_NAMES
 from embedfar.specialfun import gauss_legendre
 from helpers import (
+    BRANCH_LABELS,
     TrigFarFields,
     angle_distance,
     closed_form,
@@ -55,17 +56,6 @@ def test_lambda_weight_matches_closed_form(p):
     sign = -1.0 if p % 2 == 0 else 1.0
     expected = np.cos(p * theta) + sign * math.cos(p * alpha)
     assert np.allclose(lambda_weight(theta, alpha, p), expected, atol=1e-14)
-    h = 1e-6
-    fd1 = (
-        lambda_weight(theta + h, alpha, p) - lambda_weight(theta - h, alpha, p)
-    ) / (2.0 * h)
-    assert np.allclose(lambda_weight(theta, alpha, p, 1), fd1, atol=1e-6 * p**3)
-    fd2 = (
-        lambda_weight(theta + h, alpha, p)
-        - 2.0 * lambda_weight(theta, alpha, p)
-        + lambda_weight(theta - h, alpha, p)
-    ) / (h * h)
-    assert np.allclose(lambda_weight(theta, alpha, p, 2), fd2, atol=2e-3 * p**3)
 
 
 def test_lambda_weight_reciprocity_sign():
@@ -202,6 +192,16 @@ def test_basis_numerator_matches_direct_sum():
     ) / (2.0 * h)
     got = complex(basis.numerator(b, 0.5, 1))
     assert abs(got - fd) <= 1e-6 * max(1.0, abs(fd))
+    # the second derivative checks the Leibniz rule's Lambda'' N and
+    # 2 Lambda' N' terms against the values alone
+    h = 1e-4
+    fd2 = (
+        complex(basis.numerator(b, 0.5 + h))
+        - 2.0 * complex(basis.numerator(b, 0.5))
+        + complex(basis.numerator(b, 0.5 - h))
+    ) / (h * h)
+    got = complex(basis.numerator(b, 0.5, 2))
+    assert abs(got - fd2) <= 1e-6 * max(1.0, abs(fd2))
 
 
 def test_naive_eval_raises_at_pole():
@@ -239,15 +239,15 @@ def test_contour_eval_rejects_pole_too_close_to_contour():
         contour_eval(lambda z: np.ones_like(z), chi - 0.5, alpha, p, contour)
 
 
-# (theta, theta0, theta0', is_double) for each form of the near-pole fit:
-# three distinct nodes, the two merged forms (theta0, theta0, x), and the
-# Taylor polynomial at theta0
+# (theta, theta0, theta0') for each form of the near-pole fit: three
+# distinct nodes, the two merged forms (theta0, theta0, x), and the Taylor
+# polynomial at theta0; a double zero is theta0' = theta0
 _FIT_CASES = {
-    "distinct": (0.31, 0.35, 0.42, False),
-    "theta-on-theta0": (0.35 + 4e-6, 0.35, 0.42, False),
-    "theta0prime-on-theta0": (0.31, 0.35, 0.35 + 4e-6, False),
-    "double-zero": (0.31, 0.35, 0.35, True),
-    "theta-on-double-zero": (0.35 + 4e-6, 0.35, 0.35, True),
+    "distinct": (0.31, 0.35, 0.42),
+    "theta-on-theta0": (0.35 + 4e-6, 0.35, 0.42),
+    "theta0prime-on-theta0": (0.31, 0.35, 0.35 + 4e-6),
+    "double-zero": (0.31, 0.35, 0.35),
+    "theta-on-double-zero": (0.35 + 4e-6, 0.35, 0.35),
 }
 
 _complex_values = st.complex_numbers(
@@ -255,12 +255,12 @@ _complex_values = st.complex_numbers(
 )
 
 
-def _fit(f, theta, th0, th1, is_double):
+def _fit(f, theta, th0, th1):
     """_fit_quadratic from f(z, order) at the nodes, as the evaluator
     supplies it."""
     at_th0 = [complex(f(th0, j)) for j in range(3)]
     return _fit_quadratic(
-        theta, th0, th1, is_double, complex(f(theta, 0)), at_th0, complex(f(th1, 0))
+        theta, th0, th1, complex(f(theta, 0)), at_th0, complex(f(th1, 0))
     )
 
 
@@ -273,8 +273,8 @@ def test_fit_quadratic_reproduces_quadratics(case, coeffs):
     def f(z, order):
         return (a0 + a1 * z + a2 * z * z, a1 + 2.0 * a2 * z, 2.0 * a2)[order]
 
-    theta, th0, th1, is_double = _FIT_CASES[case]
-    q = _fit(f, theta, th0, th1, is_double)
+    theta, th0, th1 = _FIT_CASES[case]
+    q = _fit(f, theta, th0, th1)
     scale = max(1.0, abs(a0) + abs(a1) + abs(a2))
     for z in (theta, th0, th1, 0.36 + 0.01j, 0.3 - 0.02j, 0.5):
         assert abs(q(z) - f(z, 0)) <= 1e-11 * scale
@@ -295,7 +295,7 @@ def test_fit_quadratic_is_continuous_at_confluence_gate(moved):
             theta, th1 = th0 + gap, th0 + 0.006
         else:
             theta, th1 = th0 - 0.004, th0 + gap
-        fits.append(_fit(field.value, theta, th0, th1, False))
+        fits.append(_fit(field.value, theta, th0, th1))
     contour = rect_contour([theta, th0, th1], DEFAULT_CLUSTER_THRESHOLD)
     nodes, _ = contour.quadrature(DEFAULT_CONTOUR_ORDER)
     jump = float(np.max(np.abs(fits[0](nodes) - fits[1](nodes))))
@@ -414,15 +414,7 @@ def test_evaluator_reproduces_consistent_family(p):
     tol[snapped] = 1e-6 * scale
     assert np.all(errors <= tol)
     seen = set(labels)
-    allowed = {
-        "naive",
-        "lhopital",
-        "contour:full",
-        "contour:pair",
-        "residue:two",
-        "residue:single",
-    }
-    assert seen <= allowed
+    assert seen <= BRANCH_LABELS
     assert "naive" in seen
     assert "contour:full" in seen
     assert sum(evaluator.branch_counts.values()) == len(thetas)
@@ -456,7 +448,7 @@ def test_dispatch_selects_documented_branches():
         (math.pi / 2.0 + 0.10, math.pi / 2.0 + 0.03, "residue:two"),
         (math.pi / 2.0 + 0.1, math.pi / 2.0, "contour:pair"),
         (math.pi / 4.0 + 0.005, math.pi / 4.0, "contour:full"),
-        (math.pi / 2.0, math.pi / 2.0, "lhopital"),
+        (math.pi / 2.0, math.pi / 2.0, "contour:full"),
     ]
     for theta, alpha, expected_branch in cases:
         evaluator = StabilizedEvaluator(
@@ -511,7 +503,7 @@ _BRANCH_CASES = (
     ("contour:full", 0.002, 0.012),
     ("contour:full", 0.0, 0.005),
     ("contour:full", 0.0, 2e-4),
-    ("lhopital", 0.0, 0.0),
+    ("contour:full", 0.0, 0.0),
 )
 
 
@@ -523,7 +515,8 @@ def test_every_branch_matches_closed_form_on_noisy_data(p):
     # numerator's data error nu (the quadratic fit at 2e-4 from a double
     # zero reaches 0.7%).  A correction of the wrong sign is off by twice a
     # principal part, 4 n0 / (p d)^2 at a distance d from a double zero;
-    # l'Hopital's rule without its p^2 n0 / 6 term by n0 / (6 cos p chi)
+    # on the double zero, a regular part without its p^2 n0 / 6 term by
+    # n0 / (6 cos p chi)
     eps = 1e-6
     rng = np.random.default_rng(70 + p)
     T, angles, fields = rank_one_family(p, rng)
@@ -712,14 +705,14 @@ _H, _h = DEFAULT_NEAR_THRESHOLD, DEFAULT_CLUSTER_THRESHOLD
 # alpha) and distances of theta from a zero, drawn independently.  The
 # dispatcher's thresholds sit at these pairs among others: the near, the
 # cluster and the confluence gates at an isolated zero (0.6, H / h /
-# _CONFLUENT); an exact hit of a double zero (0, _EXACT), the zero itself
+# _CONFLUENT); a near-exact hit of a double zero (0, 1e-13), the zero itself
 # (0, 0) and the reach of the rectangle round it, its clearance plus half
 # (0, 1.5 h); the rectangle round a clustered pair (0.004, 1.5 h); theta0'
 # pulled into the contour round theta and theta0 (2 h, 1.5 h); pair gaps
 # on the near, cluster and confluence gates with theta off the gates (H or
 # h, 0.05; _CONFLUENT, 0.003)
 _PAIR_GAPS = (None, 0.6, 0.0, 0.004, 2.0 * _h, _H, _h, _CONFLUENT)
-_DISTANCES = (_H, _h, _CONFLUENT, _EXACT, 0.0, 1.5 * _h, 0.05, 0.003)
+_DISTANCES = (_H, _h, _CONFLUENT, 1e-13, 0.0, 1.5 * _h, 0.05, 0.003)
 
 
 def _nudge(x, ulps):
@@ -893,22 +886,25 @@ def test_branch_counts_tally_every_returned_label():
         returned.update(labels.tolist())
         for theta in thetas[::7]:
             returned[evaluator.evaluate_with_branch(theta, alpha)[1]] += 1
-    assert set(returned) == {
-        "naive", "residue:single", "residue:two", "contour:pair",
-        "contour:full", "lhopital",
-    }
+    assert set(returned) == BRANCH_LABELS
     assert dict(evaluator.branch_counts) == dict(returned)
 
 
-@pytest.mark.parametrize("shape", ["square", "pentagon"])
+@pytest.mark.parametrize("shape", PRESET_NAMES)
 def test_sweep_matches_points_on_bem_pipelines(shape):
     # the far fields of a real solve, not a Fourier family: the one-point
-    # path and the sweep read them through different array shapes
+    # path and the sweep read them through different array shapes.  At
+    # alpha = 0 and pi / p every zero is double, and on one the contour
+    # integral is the regular part (N'' + p^2 N / 6) / Lambda'' of N / Lambda.
+    # alpha = 0.5 leaves the zeros isolated for every preset (2.1 clusters
+    # the equilateral triangle's)
     pipeline = build_pipeline(ExperimentConfig(shape=shape, k=5.0))
     evaluator, p = pipeline.evaluator, pipeline.shape.p
-    thetas = np.linspace(0.0, TWO_PI, 120, endpoint=False)
+    grid = np.linspace(0.0, TWO_PI, 120, endpoint=False)
     seen = set()
-    for alpha in (0.0, math.pi / p, math.pi / p + 1e-7, 2.1):
+    for alpha in (0.0, math.pi / p, math.pi / p + 1e-7, 0.5, 2.1):
+        zeros = pole_set(alpha, p)
+        thetas = np.concatenate([grid, zeros])
         values, labels = evaluator.evaluate_sweep(thetas, alpha)
         scale = float(np.max(np.abs(values)))
         for theta, value, label in zip(thetas, values, labels):
@@ -916,4 +912,11 @@ def test_sweep_matches_points_on_bem_pipelines(shape):
             assert point_label == label, (alpha, theta)
             assert abs(point - value) <= 1e-12 * scale, (alpha, theta, label)
         seen.update(labels.tolist())
-    assert {"lhopital", "contour:pair", "contour:full", "residue:single"} <= seen
+        if alpha in (0.0, math.pi / p):
+            b = evaluator.coefficients(alpha)
+            n0, n2 = (evaluator.basis.numerator(b, zeros, j) for j in (0, 2))
+            regular = (n2 + (p * p / 6.0) * n0) / (-(p * p) * np.cos(p * zeros))
+            assert set(labels[len(grid):]) == {"contour:full"}
+            errors = np.abs(values[len(grid):] - regular)
+            assert float(np.max(errors)) <= 2e-11 * scale, alpha
+    assert {"contour:pair", "contour:full", "residue:single"} <= seen

@@ -138,7 +138,7 @@ def _fit_distinct(nodes, values):
     """The quadratic through three distinct nodes (theta, theta0, theta0'),
     as the evaluator fits it; only the value at theta0 is read there."""
     (theta, th0, th1), (f_theta, f0, f1) = nodes, values
-    return _fit_quadratic(theta, th0, th1, False, f_theta, [f0], f1)
+    return _fit_quadratic(theta, th0, th1, f_theta, [f0], f1)
 
 
 def test_interpolates_parabola():
