@@ -60,7 +60,6 @@ class Mesh:
 
     starts: np.ndarray
     ends: np.ndarray
-    kind: str
     midpoints: np.ndarray = field(init=False)
     lengths: np.ndarray = field(init=False)
     tangents: np.ndarray = field(init=False)
@@ -146,9 +145,7 @@ def build_mesh(
         points = a[None, :] + rel[:, None] * (b - a)[None, :]
         starts.append(points[:-1])
         ends.append(points[1:])
-    mesh = Mesh(
-        starts=np.concatenate(starts), ends=np.concatenate(ends), kind=shape.kind
-    )
+    mesh = Mesh(starts=np.concatenate(starts), ends=np.concatenate(ends))
     assert float(np.max(mesh.lengths)) <= math.pi / k + 1e-12
     logger.debug("mesh: %d elements, k=%g", len(mesh), k)
     return mesh

@@ -40,6 +40,7 @@ from .embedding import (
     DEFAULT_CLUSTER_THRESHOLD,
     DEFAULT_CONTOUR_ORDER,
     DEFAULT_NEAR_THRESHOLD,
+    DoublePoleInSimpleBranch,
     EmbeddingBasis,
     PoleOnContour,
     StabilizedEvaluator,
@@ -64,6 +65,8 @@ _NUMERICAL_FAILURES = (
     ZeroColumnEncountered,
     SingularSubmatrix,
     PoleOnContour,
+    DoublePoleInSimpleBranch,
+    ZeroDivisionError,  # also embedding.PoleAtTheta
 )
 
 _ERROR_GRID_SIZE = 1000  # equispaced points behind every reported sup norm

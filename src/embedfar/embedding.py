@@ -66,22 +66,6 @@ def lambda_offset(alpha, p):
     return sign * np.cos(p * np.asarray(alpha))
 
 
-@dataclass(frozen=True)
-class PoleEnvironment:
-    """Real zeros of Lambda(., alpha) relevant near one observation angle.
-
-    theta0 is the nearest zero, theta0_prime the second nearest (equal to
-    theta0 when that zero is double), theta_star the nearest coalescence
-    point n*pi/p to theta0.  All values are unwrapped representatives chosen
-    near the queried angle, not reduced mod 2*pi.
-    """
-
-    theta0: float
-    theta0_prime: float
-    theta_star: float
-    is_double: bool
-
-
 def pole_set(alpha, p):
     """All zeros of Lambda(., alpha) in [0, 2*pi).
 
@@ -110,17 +94,16 @@ def pole_set(alpha, p):
 
 
 def pole_environment(theta, alpha, p):
-    """Nearest zeros of Lambda(., alpha) around theta; see PoleEnvironment."""
-    return PoleEnvironment(*_environment(float(theta), float(alpha), p))
-
-
-def _environment(theta, alpha, p):
-    """pole_environment's fields for Python floats, as a tuple.
+    """Nearest zeros (theta0, theta0') of Lambda(., alpha) around theta.
 
     Each family of zeros (+alpha and -alpha) offers its zero nearest theta;
-    the second nearest zero is the other family's, or the neighbour of the
-    nearest one on theta's side, whichever is closer.
+    theta0 is the nearer of the two, and theta0' the other family's or the
+    neighbour of theta0 on theta's side, whichever is closer.  Where the
+    families meet in a double zero, theta0' lies on theta0 or within
+    rounding of it.  Both are Python floats, unwrapped representatives
+    near theta, not reduced mod 2*pi.
     """
+    theta, alpha = float(theta), float(alpha)
     spacing = _TWO_PI / p
     offset = math.pi / p if p % 2 else 0.0
     plus, minus = offset + alpha, offset - alpha
@@ -131,23 +114,15 @@ def _environment(theta, alpha, p):
         theta0, other, d0, d_other = near_minus, near_plus, gap_minus, gap_plus
     else:
         theta0, other, d0, d_other = near_plus, near_minus, gap_plus, gap_minus
-    theta_star = round(theta0 * p / math.pi) * math.pi / p
-    # coinciding zeros of the two families make a double zero, so the
-    # other family's zero is distinct from a simple theta0
-    is_double = abs(theta0 - theta_star) <= 1e-12
-    if is_double:
-        theta0_prime = theta0
-    elif d_other <= spacing - d0:
-        theta0_prime = other
-    else:
-        theta0_prime = theta0 + math.copysign(spacing, theta - theta0)
-    return theta0, theta0_prime, theta_star, is_double
+    if d_other <= spacing - d0:
+        return theta0, other
+    return theta0, theta0 + math.copysign(spacing, theta - theta0)
 
 
 def _environments(theta, alpha, p):
-    """_environment's theta0, theta0' and is_double for an array of angles,
-    by the same IEEE operations (rounding half to even, abs, copysign), so
-    that every branch decision agrees with the scalar cut bit for bit."""
+    """pole_environment for an array of angles, by the same IEEE operations
+    (rounding half to even, abs, copysign), so that every branch decision
+    agrees with the scalar cut bit for bit."""
     spacing = _TWO_PI / p
     offset = math.pi / p if p % 2 else 0.0
     plus, minus = offset + alpha, offset - alpha
@@ -158,13 +133,8 @@ def _environments(theta, alpha, p):
     theta0 = np.where(take_minus, near_minus, near_plus)
     other = np.where(take_minus, near_plus, near_minus)
     d0, d_other = np.minimum(gap_plus, gap_minus), np.maximum(gap_plus, gap_minus)
-    theta_star = np.rint(theta0 * p / math.pi) * math.pi / p
-    is_double = np.abs(theta0 - theta_star) <= 1e-12
     beside = theta0 + np.copysign(spacing, theta - theta0)
-    theta0_prime = np.where(
-        is_double, theta0, np.where(d_other <= spacing - d0, other, beside)
-    )
-    return theta0, theta0_prime, is_double
+    return theta0, np.where(d_other <= spacing - d0, other, beside)
 
 
 @dataclass
@@ -344,9 +314,9 @@ def _fit_quadratic(theta, th0, th1, at_theta, at_th0, at_th1):
     Nodes closer together than the confluence gate are merged into
     derivative conditions at theta0 (all three merging into a local
     Taylor polynomial), which keeps the divided differences clear of
-    catastrophic cancellation; a double zero is theta0' = theta0.  theta0
-    is the zero nearest theta, so nodes left distinct are more than
-    _CONFLUENT apart.
+    catastrophic cancellation; at a double zero theta0' lies on theta0 or
+    within rounding of it.  theta0 is the zero nearest theta, so nodes left
+    distinct are more than _CONFLUENT apart.
     """
     confluent = abs(th0 - th1) <= _CONFLUENT
     theta_hits_pole = abs(theta - th0) <= _CONFLUENT
@@ -488,7 +458,7 @@ class StabilizedEvaluator:
         p, big_h = self.basis.p, self.near_threshold
         if abs(lam) > p * big_h:
             return None
-        th0, th1, _, _ = _environment(theta, alpha, p)
+        th0, th1 = pole_environment(theta, alpha, p)
         return (th0, th1) if abs(theta - th0) < big_h else None
 
     def _near_points(self, thetas, alpha, lam):
@@ -497,7 +467,7 @@ class StabilizedEvaluator:
         p, big_h = self.basis.p, self.near_threshold
         index = (np.abs(lam) <= p * big_h).nonzero()[0]
         theta = thetas[index]
-        th0, th1, _ = _environments(theta, alpha, p)
+        th0, th1 = _environments(theta, alpha, p)
         near = np.abs(theta - th0) < big_h
         return tuple(c[near] for c in (index, theta, th0, th1))
 
@@ -528,9 +498,10 @@ class StabilizedEvaluator:
         residue = (d0 >= small_h) & (d01 >= small_h)
         r = residue.nonzero()[0]
         if len(r):
-            value = at_theta[r] / lam[r] - _residue_terms(
-                p, at_th0[0, r], th0[r], theta[r]
-            )
+            # the residue check first: beside a double zero it raises
+            # before a Lambda that rounds to zero divides
+            value = -_residue_terms(p, at_th0[0, r], th0[r], theta[r])
+            value += at_theta[r] / lam[r]
             two = d01[r] < big_h
             pair = r[two]
             value[two] -= _residue_terms(p, at_th1[pair], th1[pair], theta[pair])
@@ -589,8 +560,8 @@ class StabilizedEvaluator:
         big_h, small_h = self.near_threshold, self.cluster_threshold
         d0, d01 = abs(theta - th0), abs(th0 - th1)
         if d0 >= small_h and d01 >= small_h:
-            # naive quotient plus explicit corrections
-            value = at_theta / lam - _residue_term(p, at_th0[0], th0, theta)
+            # naive quotient plus corrections, the residue check first
+            value = -_residue_term(p, at_th0[0], th0, theta) + at_theta / lam
             if d01 < big_h:
                 value -= _residue_term(p, at_th1, th1, theta)
                 return value, "residue:two", None

@@ -201,8 +201,7 @@ def residue_eval(basis, b, theta, alpha, include):
     return value
 
 
-def _scalar_quadratic(basis, b, theta, env):
-    th0, th1 = env.theta0, env.theta0_prime
+def _scalar_quadratic(basis, b, theta, th0, th1):
     at_th0 = [basis.numerator(b, th0, order=j) for j in range(3)]
     return _fit_quadratic(
         theta, th0, th1, basis.numerator(b, theta), at_th0,
@@ -218,15 +217,14 @@ def _near_rectangle(contour, x, small_h):
     return inside or gap < 0.5 * small_h
 
 
-def _scalar_contour_value(evaluator, b, theta, alpha, xs, env):
+def _scalar_contour_value(evaluator, b, theta, alpha, xs, th0, th1):
     small_h = evaluator.cluster_threshold
-    rho = _scalar_quadratic(evaluator.basis, b, theta, env)
+    rho = _scalar_quadratic(evaluator.basis, b, theta, th0, th1)
     contour = rect_contour([theta] + xs, small_h)
     extra = []
-    if env.theta0_prime not in xs and not env.is_double:
-        if _near_rectangle(contour, env.theta0_prime, small_h):
-            extra = [env.theta0_prime]
-            contour = rect_contour([theta] + xs + extra, small_h)
+    if th1 not in xs and _near_rectangle(contour, th1, small_h):
+        extra = [th1]
+        contour = rect_contour([theta] + xs + extra, small_h)
     value = contour_eval(
         rho, theta, alpha, evaluator.basis.p, contour, evaluator.contour_order
     )
@@ -239,8 +237,7 @@ def scalar_dispatch(evaluator, theta, alpha):
     basis = evaluator.basis
     b = evaluator.coefficients(alpha)
     p = basis.p
-    env = pole_environment(theta, alpha, p)
-    th0, th1 = float(env.theta0), float(env.theta0_prime)
+    th0, th1 = pole_environment(theta, alpha, p)
     d0 = abs(theta - th0)
     d01 = abs(th0 - th1)
     big_h, small_h = evaluator.near_threshold, evaluator.cluster_threshold
@@ -249,22 +246,27 @@ def scalar_dispatch(evaluator, theta, alpha):
         return naive_eval(basis, b, theta, alpha), "naive"
 
     if d0 < small_h:
-        if env.is_double or d01 < small_h:
-            xs = [th0] if env.is_double else [th0, th1]
-            value, _ = _scalar_contour_value(evaluator, b, theta, alpha, xs, env)
+        if d01 < small_h:
+            value, _ = _scalar_contour_value(
+                evaluator, b, theta, alpha, [th0, th1], th0, th1
+            )
             return value, "contour:full"
-        value, pulled = _scalar_contour_value(evaluator, b, theta, alpha, [th0], env)
+        value, pulled = _scalar_contour_value(
+            evaluator, b, theta, alpha, [th0], th0, th1
+        )
         if d01 < big_h and not pulled:
             value -= _scalar_residue_term(basis, b, th1, theta)
         return value, "contour:full"
 
-    if env.is_double or d01 < small_h:
-        xs = [th0] if env.is_double else [th0, th1]
+    if d01 < small_h:
+        xs = [th0, th1]
         contour = rect_contour(xs, small_h)
         if _near_rectangle(contour, theta, small_h):
-            value, _ = _scalar_contour_value(evaluator, b, theta, alpha, xs, env)
+            value, _ = _scalar_contour_value(
+                evaluator, b, theta, alpha, xs, th0, th1
+            )
             return value, "contour:full"
-        rho = _scalar_quadratic(basis, b, theta, env)
+        rho = _scalar_quadratic(basis, b, theta, th0, th1)
         correction = contour_eval(
             rho, theta, alpha, p, contour, evaluator.contour_order
         )
@@ -285,11 +287,11 @@ def scalar_dispatch(evaluator, theta, alpha):
 # adds one where it should subtract it is off by twice as much.
 
 
-def _principal_part(basis, b, theta, chi, is_double):
+def _principal_part(basis, b, theta, chi, double):
     """Principal part at theta of N / Lambda at its zero chi."""
     p = basis.p
     n0 = complex(basis.numerator(b, chi))
-    if not is_double:
+    if not double:
         return n0 / (-p * math.sin(p * chi) * (theta - chi))
     # Lambda = a2 u^2 + O(u^4) about a double zero, u = z - chi
     a2 = -0.5 * p * p * math.cos(p * chi)
@@ -304,9 +306,11 @@ def closed_form(evaluator, theta, alpha):
     basis, p = evaluator.basis, evaluator.basis.p
     b = evaluator.coefficients(alpha)
     big_h = evaluator.near_threshold
-    env = pole_environment(theta, alpha, p)
-    th0, th1 = env.theta0, env.theta0_prime
-    if env.is_double and abs(theta - th0) <= 1e-13:
+    th0, th1 = pole_environment(theta, alpha, p)
+    # the two families' zeros meet at n pi / p, so a pair closer than
+    # 2e-12 straddles a double zero within 1e-12
+    double = abs(th0 - th1) <= 2e-12
+    if double and abs(theta - th0) <= 1e-13:
         # N / Lambda = (n0 + n1 u + n2 u^2 / 2 + ...) / (a2 u^2 (1 + a4 / a2 u^2))
         a2 = -0.5 * p * p * math.cos(p * th0)
         a4 = p**4 * math.cos(p * th0) / 24.0
@@ -314,8 +318,8 @@ def closed_form(evaluator, theta, alpha):
         return (0.5 * n2 - n0 * a4 / a2) / a2
     value = complex(naive_eval(basis, b, theta, alpha))
     if abs(theta - th0) < big_h:
-        value -= _principal_part(basis, b, theta, th0, env.is_double)
-        if not env.is_double and abs(th0 - th1) < big_h:
+        value -= _principal_part(basis, b, theta, th0, double)
+        if not double and abs(th0 - th1) < big_h:
             value -= _principal_part(basis, b, theta, th1, False)
     return value
 

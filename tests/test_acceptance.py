@@ -99,11 +99,12 @@ def test_criterion_02_pole_structure():
         p = int(rng.integers(1, 7))
         theta = float(rng.uniform(0.0, TWO_PI))
         alpha = float(rng.uniform(0.0, TWO_PI))
-        env = pole_environment(theta, alpha, p)
+        th0, _ = pole_environment(theta, alpha, p)
+        star = round(th0 * p / math.pi) * math.pi / p
         bound = (
             (p * p / 8.0)
-            * float(helpers.angle_distance(theta, env.theta0))
-            * float(helpers.angle_distance(theta, env.theta_star))
+            * float(helpers.angle_distance(theta, th0))
+            * float(helpers.angle_distance(theta, star))
         )
         lower_margin = min(
             lower_margin, abs(float(lambda_weight(theta, alpha, p))) - bound

@@ -1,7 +1,9 @@
 """Command-line interface: config handling, outputs, exit codes."""
 
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -461,6 +463,58 @@ def test_numerical_failures_exit_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _run_module(*argv):
+    """`python -m embedfar argv` in a child that finds the package where
+    this process imported it from."""
+    src = str(Path(embedfar.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "embedfar", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_clearance_below_rounding_exits_3(tmp_path):
+    # alpha = pi/2 + 4e-13 splits the square's double zero at pi/2 into a
+    # pair 8e-13 apart, wider than a 1e-13 cluster threshold, so the
+    # residue formula meets a zero that is double within rounding
+    proc = _run_module(
+        "sweep", "--shape", "square", "--k", "5", "--small-h", "1e-13",
+        "--alpha", "1.5707963267952966", "--out", str(tmp_path / "sweep.csv"),
+    )
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert proc.stderr.startswith("numerical failure")
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_package_exception_has_an_exit_code(monkeypatch):
+    # each exception class the package defines exits 3 as a numerical
+    # failure, or is a ValueError of the input that load_shape turns into
+    # a config error (exit 2)
+    inputs = []
+    for info in pkgutil.iter_modules(embedfar.__path__):
+        module = importlib.import_module(f"embedfar.{info.name}")
+        for cls in vars(module).values():
+            if not (
+                isinstance(cls, type)
+                and issubclass(cls, BaseException)
+                and cls.__module__ == module.__name__
+            ) or issubclass(cls, cli._NUMERICAL_FAILURES):
+                continue
+            assert issubclass(cls, ValueError), cls
+            inputs.append(cls)
+    assert ConfigError in inputs
+    for cls in inputs:
+        def fail(path, cls=cls):
+            raise cls("bad input")
+
+        monkeypatch.setattr(cli, "load_geometry_file", fail)
+        with pytest.raises(ConfigError):
+            cli.load_shape(ExperimentConfig(geometry_file="shape.txt"))
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -469,14 +523,6 @@ def test_selftest_passes(capsys):
 
 
 def test_module_entry_point_shows_usage():
-    # the child finds the package where this process imported it from
-    src = str(Path(embedfar.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "embedfar", "--help"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _run_module("--help")
     assert proc.returncode == 0
     assert "sweep" in proc.stdout

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedfar.bem import FarField
-from embedfar.cli import ExperimentConfig, build_pipeline
+from embedfar.cli import (
+    ExperimentConfig,
+    build_pipeline,
+    output_error,
+    reference_system,
+)
 from embedfar.embedding import (
     _CONFLUENT,
     DEFAULT_CLUSTER_THRESHOLD,
@@ -94,32 +99,32 @@ def test_pole_environment_orders_zeros():
         p = int(rng.integers(1, 7))
         alpha = float(rng.uniform(0.0, TWO_PI))
         theta = float(rng.uniform(0.0, TWO_PI))
-        env = pole_environment(theta, alpha, p)
+        th0, th1 = pole_environment(theta, alpha, p)
         zeros = pole_set(alpha, p)
         ordered = np.sort(angle_distance(theta, zeros))
-        assert abs(abs(theta - env.theta0) - ordered[0]) <= 1e-9
-        assert abs(float(lambda_weight(env.theta0, alpha, p))) <= 1e-9
-        star = round(env.theta0 * p / math.pi) * math.pi / p
-        assert abs(env.theta_star - star) <= 1e-12
-        if env.is_double:
-            assert env.theta0_prime == env.theta0
-            assert abs(math.sin(p * env.theta0)) <= 1e-9
+        assert abs(abs(theta - th0) - ordered[0]) <= 1e-9
+        assert abs(float(lambda_weight(th0, alpha, p))) <= 1e-9
+        # the coalescence point n pi / p nearest theta0
+        star = round(th0 * p / math.pi) * math.pi / p
+        if abs(th0 - star) <= 1e-12:
+            # a double zero: pole_set lists it once
+            assert abs(th1 - th0) <= 2e-12
+            assert abs(math.sin(p * th0)) <= 1e-9
         else:
-            d1 = float(angle_distance(theta, env.theta0_prime))
+            d1 = float(angle_distance(theta, th1))
             assert abs(d1 - ordered[1]) <= 1e-9
 
 
 def test_double_pole_detection():
-    env = pole_environment(0.4, math.pi / 2.0, 2)
-    assert env.is_double
-    assert abs(env.theta0 - math.pi / 2.0) <= 1e-12
-    assert env.theta0_prime == env.theta0
+    # a double zero is a pair at distance zero: theta0' lands on theta0
+    th0, th1 = pole_environment(0.4, math.pi / 2.0, 2)
+    assert abs(th0 - math.pi / 2.0) <= 1e-12
+    assert th1 == th0
 
-    env = pole_environment(2.0, math.pi / 2.0 + 0.05, 2)
-    assert not env.is_double
-    assert abs(env.theta0 - (math.pi / 2.0 + 0.05)) <= 1e-12
-    assert abs(env.theta0_prime - (math.pi / 2.0 - 0.05)) <= 1e-12
-    assert abs(env.theta_star - math.pi / 2.0) <= 1e-12
+    # just off it, the pair splits into the two simple zeros
+    th0, th1 = pole_environment(2.0, math.pi / 2.0 + 0.05, 2)
+    assert abs(th0 - (math.pi / 2.0 + 0.05)) <= 1e-12
+    assert abs(th1 - (math.pi / 2.0 - 0.05)) <= 1e-12
 
 
 def test_weight_lower_bound_on_torus():
@@ -128,11 +133,12 @@ def test_weight_lower_bound_on_torus():
         p = int(rng.integers(1, 7))
         theta = float(rng.uniform(0.0, TWO_PI))
         alpha = float(rng.uniform(0.0, TWO_PI))
-        env = pole_environment(theta, alpha, p)
+        th0, _ = pole_environment(theta, alpha, p)
+        star = round(th0 * p / math.pi) * math.pi / p
         lower = (
             (p * p / 8.0)
-            * float(angle_distance(theta, env.theta0))
-            * float(angle_distance(theta, env.theta_star))
+            * float(angle_distance(theta, th0))
+            * float(angle_distance(theta, star))
         )
         assert abs(float(lambda_weight(theta, alpha, p))) >= lower - 1e-12
 
@@ -757,8 +763,8 @@ def test_naive_query_reads_one_row_per_angle(monkeypatch):
     # second; it never runs as a sweep
     pipeline = build_pipeline(ExperimentConfig(shape="square", k=5.0))
     theta, alpha = 2.0, 0.6
-    env = pole_environment(theta, alpha, pipeline.shape.p)
-    assert abs(theta - env.theta0) >= DEFAULT_NEAR_THRESHOLD
+    th0, _ = pole_environment(theta, alpha, pipeline.shape.p)
+    assert abs(theta - th0) >= DEFAULT_NEAR_THRESHOLD
     calls = []
     rows, value = FarField.rows, FarField.value
 
@@ -874,6 +880,23 @@ def test_sweep_raises_when_a_rectangle_touches_a_pole():
         evaluator.evaluate(chi, alpha)
 
 
+def test_residue_branch_raises_beside_a_double_zero():
+    # alpha 4e-13 off pi / 2 splits the double zero there into a pair
+    # 8e-13 apart, wider than a clearance of 1e-13, so the residue formula
+    # meets zeros that are double to working precision while Lambda at
+    # theta = pi / 2 rounds to 0; both paths raise the same failure
+    noisy = _noisy_evaluator(2, seed=47)
+    evaluator = StabilizedEvaluator(
+        basis=noisy.basis, coefficients=noisy.coefficients, cluster_threshold=1e-13
+    )
+    alpha, theta = math.pi / 2.0 + 4e-13, math.pi / 2.0
+    assert float(lambda_weight(theta, alpha, 2)) == 0.0
+    with pytest.raises(DoublePoleInSimpleBranch):
+        evaluator.evaluate_sweep(np.array([theta, 0.3]), alpha)
+    with pytest.raises(DoublePoleInSimpleBranch):
+        evaluator.evaluate(theta, alpha)
+
+
 def test_branch_counts_tally_every_returned_label():
     p = 3
     evaluator = _noisy_evaluator(p, seed=48)
@@ -920,3 +943,56 @@ def test_sweep_matches_points_on_bem_pipelines(shape):
             errors = np.abs(values[len(grid):] - regular)
             assert float(np.max(errors)) <= 2e-11 * scale, alpha
     assert {"contour:pair", "contour:full", "residue:single"} <= seen
+
+
+@pytest.mark.parametrize("shape", PRESET_NAMES)
+def test_optical_theorem_of_the_embedded_map(shape):
+    # the integral of |D|^2 over theta equals 4 pi Im D(alpha + pi, alpha)
+    # for every incidence, not only the canonical ones: at seeded alpha the
+    # map's defect stays below its own output error (one-sided, as the
+    # canonical solves' defect stays below e_in in test_bem)
+    pipeline = build_pipeline(
+        ExperimentConfig(shape=shape, k=5.0, elements_per_wavelength=8.0)
+    )
+    ref, evaluator = reference_system(pipeline), pipeline.evaluator
+    thetas = np.linspace(0.0, TWO_PI, 1000, endpoint=False)
+    for alpha in np.random.default_rng(11).uniform(0.0, TWO_PI, 4):
+        values, _ = evaluator.evaluate_sweep(thetas, alpha)
+        energy = TWO_PI / len(thetas) * float(np.sum(np.abs(values) ** 2))
+        forward = evaluator.evaluate(alpha + math.pi, alpha)
+        defect = abs(energy - 4.0 * math.pi * forward.imag) / energy
+        assert defect <= output_error(pipeline, ref, alpha), alpha
+
+
+@pytest.mark.parametrize("shape, turns", [("square", 4), ("equilateral", 3)])
+def test_rotation_identity_of_the_embedded_map(shape, turns):
+    # a turn phi of the shape about its vertex mean c maps the solve at
+    # alpha onto the one at alpha + phi: with d(t) = (cos t, sin t),
+    #   D(theta + phi, alpha + phi)
+    #     = exp(ik c.[d(alpha) - d(alpha + phi) + d(theta) - d(theta + phi)])
+    #       D(theta, alpha).
+    # The canonical solves hold it to rounding; the embedded map to the
+    # output errors at alpha and alpha + phi, by the triangle inequality
+    k, phi = 5.0, TWO_PI / turns
+    pipeline = build_pipeline(ExperimentConfig(shape=shape, k=k))
+    ref, evaluator = reference_system(pipeline), pipeline.evaluator
+    centre = pipeline.shape.vertices.mean(axis=0)
+    thetas = np.linspace(0.0, TWO_PI, 1200, endpoint=False)
+    turn = len(thetas) // turns  # thetas[i + turn] = thetas[i] + phi
+
+    def direction(t):
+        return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+    def turned_by(t):
+        return direction(t) - direction(t + phi)
+
+    for alpha in np.random.default_rng(12).uniform(0.0, TWO_PI, 3):
+        phase = np.exp(1j * k * ((turned_by(alpha) + turned_by(thetas)) @ centre))
+        solves = pipeline.system.solve_far_fields([alpha, alpha + phi]).value(thetas)
+        peak = float(np.max(np.abs(solves[:, 0])))
+        turned = np.roll(solves[:, 1], -turn) - phase * solves[:, 0]
+        assert float(np.max(np.abs(turned))) <= 1e-12 * peak, alpha
+        mapped = [evaluator.evaluate_sweep(thetas, a)[0] for a in (alpha, alpha + phi)]
+        turned = np.roll(mapped[1], -turn) - phase * mapped[0]
+        e_out = output_error(pipeline, ref, [alpha, alpha + phi], n=len(thetas))
+        assert float(np.max(np.abs(turned))) <= 2.0 * e_out * peak, alpha
