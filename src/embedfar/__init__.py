@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 
 from .bem import BemSystem, FarField, build_system
 from .coefficients import (
-    CoefficientVector,
     SystemMatrix,
     canonical_angles,
-    coefficients_for,
     column_subset,
     default_oversampling,
     svd,
@@ -43,10 +41,8 @@ __all__ = [
     "BemSystem",
     "FarField",
     "build_system",
-    "CoefficientVector",
     "SystemMatrix",
     "canonical_angles",
-    "coefficients_for",
     "column_subset",
     "default_oversampling",
     "svd",

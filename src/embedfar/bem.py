@@ -397,10 +397,12 @@ class FarField:
     plus (n,) for stacked solves, as rows(theta) @ modes, where a row is
     e^{in theta} P(theta) mult with P the centre's phase and mult the exact
     derivative multiplier; derivatives() stacks the orders 0..order from
-    one exp and one product.  A product of threaded size runs through scipy's
-    BLAS, as the solves do (see BemSystem), so that an evaluator's grid does
-    not wake numpy's worker threads beside scipy's, which still spin after
-    a set-up; smaller ones use numpy's, which costs less per call.
+    one exp and one product.  A single solve's product is elementwise and
+    uses no BLAS, so that reading one far field, as reports and canonical
+    columns do, never wakes numpy's worker threads beside scipy's, which
+    still spin after a set-up or a solve.  A stacked product of threaded
+    size runs through scipy's BLAS, as the solves do (see BemSystem), for
+    the same reason; smaller ones use numpy's, which costs less per call.
     len(), [j] and iteration give the stacked solves one at a time, each a
     view of the shared modes.
     """
@@ -479,8 +481,13 @@ class FarField:
         return rows
 
     def _product(self, rows):
-        """rows @ modes, through scipy's BLAS at threaded size."""
-        if self.modes.ndim == 2 and rows.size * self.modes.shape[1] > _THREADED_GEMM:
+        """rows @ modes.  For a single solve, an elementwise product and
+        sum: no BLAS call and no thread at any size, and each row's digits
+        do not depend on the number of rows.  For stacked solves, scipy's
+        BLAS at threaded size and numpy's below it."""
+        if self.modes.ndim == 1:
+            return (rows * self.modes).sum(axis=-1)
+        if rows.size * self.modes.shape[1] > _THREADED_GEMM:
             # (modes^T rows^T)^T; the stacked modes are Fortran-ordered
             return zgemm(1.0, self.modes, rows.T, trans_a=1).T
         return rows @ self.modes

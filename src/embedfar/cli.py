@@ -33,7 +33,7 @@ from .coefficients import (
     ZeroColumnEncountered,
     build_system as build_coefficient_system,
     canonical_angles,
-    coefficients_for,
+    coefficients_for,  # unused here; perfbench/layers.py traces it by this name
     default_oversampling,
 )
 from .embedding import (
@@ -395,6 +395,10 @@ def _report_lines(pipeline, ref, e_out, coefficient_norm, start):
 
 
 def _fmt(value):
+    # floats first: they are nearly every cell, and repr already spells
+    # nan, inf and -inf
+    if isinstance(value, float):
+        return repr(float(value))
     if isinstance(value, str):
         return value
     if value is None:
@@ -448,9 +452,9 @@ def cmd_sweep(config):
     scale = float(np.max(np.abs(ref_values)))
     values, labels = pipeline.evaluator.evaluate_sweep(thetas, alpha)
     stabilized = np.abs(values - ref_values) / scale
-    coeff = coefficients_for(pipeline.matrix, alpha, config.strategy, config.delta)
+    b = pipeline.matrix.coefficients(alpha, config.strategy, config.delta)
     naive = naive_error_curve(
-        pipeline.matrix.basis, coeff.values, alpha, thetas, ref_values, scale
+        pipeline.matrix.basis, b, alpha, thetas, ref_values, scale
     )
 
     rows = [
@@ -468,7 +472,7 @@ def cmd_sweep(config):
     )
     _print_report(
         _report_lines(
-            pipeline, ref, float(np.max(stabilized)), coeff.coefficient_norm, start
+            pipeline, ref, float(np.max(stabilized)), float(np.linalg.norm(b)), start
         ),
         [out],
     )
@@ -518,9 +522,9 @@ def cmd_grid(config):
     )
     bnorm = np.median(
         [
-            coefficients_for(
-                pipeline.matrix, float(a), config.strategy, config.delta
-            ).coefficient_norm
+            np.linalg.norm(
+                pipeline.matrix.coefficients(float(a), config.strategy, config.delta)
+            )
             for a in alphas[picks]
         ]
     )
@@ -562,10 +566,8 @@ def _trial_error(base, config, ref, alphas):
     base's canonical system."""
     trial = replace(base, evaluator=make_evaluator(base.matrix, config))
     worst = output_error(trial, ref, alphas)
-    bnorm = coefficients_for(
-        base.matrix, float(alphas[0]), config.strategy, config.delta
-    ).coefficient_norm
-    return worst, bnorm
+    b = base.matrix.coefficients(float(alphas[0]), config.strategy, config.delta)
+    return worst, float(np.linalg.norm(b))
 
 
 def cmd_oversampling_study(config, mtilde_list, delta_list):

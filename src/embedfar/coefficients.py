@@ -245,7 +245,9 @@ def coefficients_for(
 ):
     """Embedding coefficients for one incidence angle from the strategy's
     operator, with the residual against the right-hand side and the
-    coefficient norm."""
+    coefficient norm.  Nothing in the package calls it: the commands read
+    system.coefficients and its norm.  It stays while the benchmark's
+    tracer (perfbench/layers.py) wraps cli.coefficients_for."""
     b = system.coefficients(alpha, strategy, delta)
     return CoefficientVector(
         values=b,

@@ -271,8 +271,10 @@ def scalar_dispatch(evaluator, theta, alpha):
             rho, theta, alpha, p, contour, evaluator.contour_order
         )
         return naive_eval(basis, b, theta, alpha) + complex(correction), "contour:pair"
-    value = naive_eval(basis, b, theta, alpha)
-    value -= _scalar_residue_term(basis, b, th0, theta)
+    # the residue check first, as in the evaluator: beside a double zero
+    # it raises before a Lambda that rounds to zero divides
+    value = -_scalar_residue_term(basis, b, th0, theta)
+    value += naive_eval(basis, b, theta, alpha)
     if d01 < big_h:
         value -= _scalar_residue_term(basis, b, th1, theta)
         return value, "residue:two"

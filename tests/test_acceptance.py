@@ -25,7 +25,6 @@ from embedfar.cli import (
 from embedfar.coefficients import (
     ZeroColumnEncountered,
     build_system as build_coefficient_system,
-    coefficients_for,
     column_subset,
     tsvd_pseudoinverse,
 )
@@ -533,8 +532,8 @@ def test_criterion_11_canonical_identity():
     for j in subset:
         unit = np.zeros(len(pipeline.angles))
         unit[j] = 1.0
-        b = coefficients_for(matrix, float(pipeline.angles[j]), strategy="two")
-        worst_unit = max(worst_unit, float(np.max(np.abs(b.values - unit))))
+        b = matrix.coefficients(float(pipeline.angles[j]), strategy="two")
+        worst_unit = max(worst_unit, float(np.max(np.abs(b - unit))))
 
     thetas = np.linspace(0.0, TWO_PI, 1000, endpoint=False)
     worst_repro = 0.0

@@ -195,6 +195,22 @@ def test_far_field_product_agrees_across_the_threading_cut():
                 assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("k", [10.0, 50.0])
+@pytest.mark.parametrize("name", ["square", "pentagon", "screen"])
+def test_single_far_field_values_do_not_depend_on_theta_count(name, k):
+    # a single solve's product is elementwise, not a BLAS matrix-vector
+    # product whose rounding follows the number of rows: a column of 200
+    # theta, its first 7 and one float theta at a time read the same bits
+    system = build_system(preset_shape(name), k)
+    fields = system.solve_far_fields(np.linspace(0.1, 6.0, 5))
+    thetas = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
+    for j in range(len(fields)):
+        values = fields[j].value(thetas)
+        assert np.array_equal(fields[j].value(thetas[:7]), values[:7])
+        for i in range(0, len(thetas), 37):
+            assert complex(fields[j].value(float(thetas[i]))) == complex(values[i])
+
+
 def test_far_field_derivatives_stack_every_order():
     # derivatives() makes one exp and one product for the orders 0..order;
     # each slice reads value() of its order, bit for bit while both
@@ -268,7 +284,7 @@ def test_far_field_modes_match_node_oracle(name, k):
             scale = float(np.max(np.abs(want[:, d])))
             assert float(np.max(np.abs(stack[:, d] - want[:, d]))) <= 1e-13 * scale
         # a column view reads the shared modes: the same values up to the
-        # rounding of a matrix-vector against a matrix-matrix product
+        # rounding of an elementwise sum against a matrix-matrix product
         scale = float(np.max(np.abs(stack)))
         for j in range(len(alphas)):
             column = fields[j].value(thetas, order)

@@ -27,7 +27,7 @@ from embedfar.cli import (
     parse_config_file,
     write_csv,
 )
-from embedfar.coefficients import NoConvergence
+from embedfar.coefficients import NoConvergence, SystemMatrix
 from embedfar.geometry import MAX_ANGLE_DENOMINATOR
 from helpers import BRANCH_LABELS
 
@@ -42,6 +42,38 @@ def test_fmt_formats_cells():
     assert _fmt(float("nan")) == "nan"
     assert _fmt(0.5) == "0.5"
     assert _fmt(-1.25e-08) == "-1.25e-08"
+
+
+def _fmt_by_the_ladder(value):
+    # the cell rule before floats took the first branch
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    number = float(value)
+    if math.isnan(number):
+        return "nan"
+    if math.isinf(number):
+        return "inf" if number > 0 else "-inf"
+    return repr(number)
+
+
+def test_fmt_keeps_the_ladders_cells():
+    # CSVs stay byte-identical: every float kind, including np.float32,
+    # which is no Python float, and every other cell type read as before
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e300]
+    with np.errstate(over="ignore", under="ignore"):  # 1e300 and 5e-324
+        singles = list(np.array(floats).astype(np.float32))
+    cells = (
+        floats
+        + [np.float64(x) for x in floats]
+        + singles
+        + [0, -7, np.int64(12), True, False, None, "alpha=0.5"]
+    )
+    for cell in cells:
+        assert _fmt(cell) == _fmt_by_the_ladder(cell), repr(cell)
 
 
 def test_normalize_strategy():
@@ -330,19 +362,19 @@ def test_non_finite_flag_is_config_error(capsys):
 
 def test_sweep_solves_for_its_coefficients_once(monkeypatch, tmp_path):
     # the naive curve and the reported norm share one coefficient solve;
-    # the stabilized sweep reads the same b from the coefficient map
+    # the stabilized sweep makes the other
     solved = []
-    solve = cli.coefficients_for
+    solve = SystemMatrix.coefficients
 
     def counted(system, alpha, *args, **kwargs):
         solved.append(alpha)
         return solve(system, alpha, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "coefficients_for", counted)
+    monkeypatch.setattr(SystemMatrix, "coefficients", counted)
     rc = main(["sweep", "--shape", "screen", "--k", "5", "--alpha", "1.0",
                "--n-theta", "64", "--out", str(tmp_path / "sweep.csv")])
     assert rc == EXIT_OK
-    assert solved == [1.0]
+    assert solved == [1.0, 1.0]
 
 
 def test_geometry_file_round_trip(tmp_path):

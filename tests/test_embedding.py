@@ -897,6 +897,20 @@ def test_residue_branch_raises_beside_a_double_zero():
         evaluator.evaluate(theta, alpha)
 
 
+def test_oracle_raises_the_evaluators_failure_beside_a_double_zero():
+    # the point of the test above: the scalar oracle checks the residue
+    # before it divides by Lambda, as both evaluator paths do, so all three
+    # raise DoublePoleInSimpleBranch there and not PoleAtTheta
+    noisy = _noisy_evaluator(2, seed=47)
+    evaluator = StabilizedEvaluator(
+        basis=noisy.basis, coefficients=noisy.coefficients, cluster_threshold=1e-13
+    )
+    alpha, theta = math.pi / 2.0 + 4e-13, math.pi / 2.0
+    with pytest.raises(DoublePoleInSimpleBranch):
+        scalar_dispatch(evaluator, theta, alpha)
+    _assert_matches_oracle(evaluator, np.array([theta, 0.3]), alpha)
+
+
 def test_branch_counts_tally_every_returned_label():
     p = 3
     evaluator = _noisy_evaluator(p, seed=48)
