@@ -311,8 +311,59 @@ class BemSystem:
         )
 
 
+def rotation_order(mesh):
+    """Largest divisor E of the element count such that turning the mesh
+    by 2 pi / E about its centre maps element i onto element i + n / E,
+    endpoints within 1e-12 of the mesh radius; 1 when no turn does.
+
+    The centre is the mean of the element starts, which a symmetric mesh
+    leaves fixed.  Regular polygons read their edge count; other shapes,
+    screens and meshes off symmetry by more than the tolerance read 1.
+    """
+    n = len(mesh)
+    centre = np.mean(mesh.starts, axis=0)
+    starts, ends = mesh.starts - centre, mesh.ends - centre
+    tol = 1e-12 * float(np.max(np.hypot(starts[:, 0], starts[:, 1])))
+    for order in range(n, 1, -1):
+        if n % order:
+            continue
+        turn = 2.0 * math.pi / order
+        c, s = math.cos(turn), math.sin(turn)
+        rot = np.array([[c, s], [-s, c]])  # row vectors: x @ rot turns x
+        if all(
+            np.max(np.abs(x @ rot - np.roll(x, -(n // order), axis=0))) <= tol
+            for x in (starts, ends)
+        ):
+            return order
+    return 1
+
+
+def _near_pairs(mesh):
+    """(i, j) index arrays, row-major, of the pairs whose target midpoint i
+    lies within one element length of element j.  Every point of element j
+    lies within L_j / 2 of its midpoint, so a pair can be near only if the
+    midpoints are closer than 1.5 L_j; the prefilter keeps gaps below 2 L_j,
+    a margin no rounding crosses, and the segment distance runs on those."""
+    mids, lengths = mesh.midpoints, mesh.lengths
+    gap = np.square(mids[:, 0, None] - mids[:, 0]) + np.square(
+        mids[:, 1, None] - mids[:, 1]
+    )
+    cand_i, cand_j = np.nonzero(gap < 4.0 * np.square(lengths))
+    targets, starts = mids[cand_i], mesh.starts[cand_j]
+    tangents, lengths = mesh.tangents[cand_j], lengths[cand_j]
+    along = np.clip(np.einsum("ij,ij->i", targets - starts, tangents), 0.0, lengths)
+    closest = starts + along[:, None] * tangents
+    near = np.linalg.norm(targets - closest, axis=1) < lengths
+    return cand_i[near], cand_j[near]
+
+
 def assemble(mesh, k):
-    """Collocation matrix, its LU factorization, and far-field quadrature."""
+    """Collocation matrix, its LU factorization, and far-field quadrature.
+
+    On a mesh of rotation order E (see rotation_order) the far part is
+    computed for the first n / E rows and rolled into the other row blocks;
+    near and self entries are computed per pair in every row.
+    """
     n = len(mesh)
     max_len = float(np.max(mesh.lengths))
     order_far = max(4, math.ceil(k * max_len) + 4)
@@ -329,10 +380,14 @@ def assemble(mesh, k):
     flat_weights = src_weights.ravel()
     targets = mesh.midpoints
 
+    # a turn of the mesh by 2 pi / E shifts rows and columns by n / E
+    # elements together, so the far part is block-circulant
+    order = rotation_order(mesh)
+    rows = n // order
     matrix = np.empty((n, n), dtype=np.complex128)
     chunk = max(1, _ASSEMBLY_CHUNK // flat_nodes.shape[0])
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
+    for lo in range(0, rows, chunk):
+        hi = min(rows, lo + chunk)
         # distances rounded as np.linalg.norm rounds them, without its
         # (targets, nodes, 2) temporary
         r = np.sqrt(
@@ -345,17 +400,16 @@ def assemble(mesh, k):
         del r
         kernel *= 0.25j * flat_weights
         matrix[lo:hi] = kernel.reshape(hi - lo, n, order_far).sum(axis=2)
+    block_row = matrix[:rows].reshape(rows, order, rows)
+    row_blocks = matrix.reshape(order, rows, order, rows)
+    for e in range(1, order):
+        row_blocks[e] = np.roll(block_row, e, axis=1)
 
     # redo near and self entries in one batched pass over all pairs, with
     # the log part integrated analytically
     near_x, near_w = gauss_legendre(_NEAR_QUAD_ORDER)
     near_params = 0.5 * (near_x + 1.0)
-    rel = targets[:, None, :] - mesh.starts[None, :, :]
-    along = np.einsum("ijk,jk->ij", rel, mesh.tangents)
-    clamped = np.clip(along, 0.0, mesh.lengths[None, :])
-    closest = mesh.starts[None, :, :] + clamped[:, :, None] * mesh.tangents[None, :, :]
-    seg_dist = np.linalg.norm(targets[:, None, :] - closest, axis=2)
-    near_i, near_j = np.nonzero(seg_dist < mesh.lengths[None, :])
+    near_i, near_j = _near_pairs(mesh)
     starts = mesh.starts[near_j]
     lengths = mesh.lengths[near_j]
     nodes = starts[:, None, :] + near_params[None, :, None] * (
@@ -371,8 +425,8 @@ def assemble(mesh, k):
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * diag.max():
         raise SingularSystem("vanishing pivot in LU factorization")
-    logger.debug("assembled %d x %d system (far order %d, %d near pairs)",
-                 n, n, order_far, len(near_i))
+    logger.debug("assembled %d x %d system (far order %d, rotation order %d, "
+                 "%d near pairs)", n, n, order_far, order, len(near_i))
     centre, transform = _mode_transform(flat_nodes, k)
     return BemSystem(
         mesh=mesh, k=k, matrix=matrix, lu=(lu, piv),

@@ -7,13 +7,17 @@ import pytest
 
 import embedfar.bem as bem
 from embedfar.bem import (
+    _NEAR_QUAD_ORDER,
+    DEFAULT_ELEMENTS_PER_WAVELENGTH,
     MAX_WAVENUMBER,
     _bessel_j,
     _mode_degree,
+    _near_pairs,
     assemble,
     build_mesh,
     build_system,
     hankel1,
+    rotation_order,
 )
 from embedfar.cli import (
     ExperimentConfig,
@@ -22,7 +26,7 @@ from embedfar.cli import (
     reference_system,
 )
 from embedfar.embedding import lambda_weight
-from embedfar.geometry import PRESET_NAMES, preset_shape
+from embedfar.geometry import PRESET_NAMES, load_geometry_file, preset_shape
 from helpers import NodeFarFields, near_pair_mask, perimeter, split_entry
 
 
@@ -108,13 +112,64 @@ def test_assembly_batches_near_pairs(monkeypatch):
         return hankel1(order, x)
 
     monkeypatch.setattr(bem, "hankel1", counted)
-    for name in ("square", "pentagon"):
+    for name in ("square", "pentagon", "isosceles-right"):
         calls.clear()
-        system = assemble(build_mesh(preset_shape(name), 10.0), 10.0)
+        mesh = build_mesh(preset_shape(name), 10.0)
+        system = assemble(mesh, 10.0)
         n, q = system.ff_weights.shape
         far_chunks = math.ceil(n / max(1, bem._ASSEMBLY_CHUNK // (n * q)))
         # the far part's chunks plus one call for every near pair at once
         assert len(calls) <= far_chunks + 1
+        # the far part's kernel runs on the first block row alone
+        near = np.count_nonzero(near_pair_mask(mesh))
+        rows = n // rotation_order(mesh)
+        assert sum(calls) == rows * n * q + _NEAR_QUAD_ORDER * near
+
+
+@pytest.mark.parametrize("refinement", [1.0, 4.0])
+@pytest.mark.parametrize("k", [5.0, 10.0, 50.0])
+@pytest.mark.parametrize("name, order", [("square", 4), ("equilateral", 3), ("pentagon", 5)])
+def test_rotation_order_of_regular_polygons(name, order, k, refinement):
+    epw = DEFAULT_ELEMENTS_PER_WAVELENGTH * refinement
+    mesh = build_mesh(preset_shape(name), k, elements_per_wavelength=epw)
+    assert rotation_order(mesh) == order
+
+
+def test_rotation_order_of_other_shapes(tmp_path):
+    for name in ("isosceles-right", "screen"):
+        assert rotation_order(build_mesh(preset_shape(name), 10.0)) == 1
+    # a pentagon with one vertex off by 1e-9 is not regular to 1e-12
+    path = tmp_path / "pentagon.txt"
+
+    def file_mesh(vertices):
+        lines = [f"vertex {float(x)!r} {float(y)!r}\n" for x, y in vertices]
+        path.write_text("kind=polygon\n" + "".join(lines))
+        return build_mesh(load_geometry_file(path), 10.0)
+
+    vertices = preset_shape("pentagon").vertices.copy()
+    assert rotation_order(file_mesh(vertices)) == 5
+    vertices[2, 1] += 1e-9
+    assert rotation_order(file_mesh(vertices)) == 1
+
+
+@pytest.mark.parametrize("refinement", [1.0, 4.0])
+@pytest.mark.parametrize("name", ["square", "equilateral", "pentagon"])
+def test_block_row_matches_full_assembly(monkeypatch, name, refinement):
+    epw = DEFAULT_ELEMENTS_PER_WAVELENGTH * refinement
+    mesh = build_mesh(preset_shape(name), 10.0, elements_per_wavelength=epw)
+    rolled = assemble(mesh, 10.0).matrix
+    monkeypatch.setattr(bem, "rotation_order", lambda mesh: 1)
+    full = assemble(mesh, 10.0).matrix
+    assert np.max(np.abs(rolled - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("refinement", [1.0, 4.0])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_near_pairs_match_mask(name, refinement):
+    epw = DEFAULT_ELEMENTS_PER_WAVELENGTH * refinement
+    mesh = build_mesh(preset_shape(name), 10.0, elements_per_wavelength=epw)
+    rows, cols = _near_pairs(mesh)
+    assert np.array_equal(np.stack([rows, cols]), np.nonzero(near_pair_mask(mesh)))
 
 
 @pytest.mark.parametrize("name", ["equilateral", "pentagon"])

@@ -217,6 +217,22 @@ def test_greedy_subset_is_stable_under_ulp_ties():
     assert column_subset(nudged, 8).tolist() == expected
 
 
+@pytest.mark.parametrize(
+    "shape, k",
+    [("square", 5.0), ("square", 10.0), ("square", 20.0), ("equilateral", 5.0),
+     ("equilateral", 10.0), ("pentagon", 5.0), ("pentagon", 10.0)],
+)
+def test_greedy_subset_does_not_follow_rounding(shape, k):
+    # relative noise of 1e-13 on every entry stands for any change of
+    # rounding upstream; symmetry ties must not be decided by it
+    system = build_pipeline(ExperimentConfig(shape=shape, k=k)).matrix
+    rng = np.random.default_rng(7)
+    phase = np.exp(2j * np.pi * rng.uniform(size=system.matrix.shape))
+    noisy = system.matrix * (1.0 + 1e-13 * phase)
+    picked = column_subset(noisy, system.coefficient_count)
+    assert picked.tolist() == system.subset().tolist()
+
+
 def test_greedy_subset_errors():
     with pytest.raises(ZeroColumnEncountered):
         column_subset(np.zeros((4, 4), dtype=complex), 2)
