@@ -492,6 +492,20 @@ class FarField:
             raise TypeError("a single far field cannot be indexed")
         return FarField(self.k, self.centre, self.modes[:, j])
 
+    def weighted(self, p, offset):
+        """The far field (cos(p theta) + offset) D about the same centre,
+        of degree N + p: cos(p theta) e^{in theta} is the mean of
+        e^{i(n-p) theta} and e^{i(n+p) theta}, so its modes are
+        offset c_n + (c_{n-p} + c_{n+p}) / 2, exactly and for complex theta
+        too.  offset is a scalar or one value per stacked solve; stacked
+        modes stay Fortran-ordered, as the product in value() wants them."""
+        n = len(self.modes)
+        padded = np.zeros((n + 4 * p,) + self.modes.shape[1:], np.complex128, "F")
+        padded[2 * p:2 * p + n] = self.modes
+        width = n + 2 * p
+        modes = offset * padded[p:p + width] + 0.5 * (padded[:width] + padded[2 * p:])
+        return FarField(self.k, self.centre, modes)
+
     def rows(self, theta, order=0):
         """The (size(theta), 2N+1) matrix e^{in theta} P(theta) mult that
         value() multiplies into the modes; theta is flattened."""

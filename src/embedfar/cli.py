@@ -272,15 +272,21 @@ def _bem_system(config, shape, refinement=1.0):
     )
 
 
+def _canonical_count(config, shape):
+    """config's canonical angle count M~ for shape: --mtilde, or by
+    default 3/2 times the coefficient count M, never below M."""
+    mtilde = config.mtilde or default_oversampling(shape.m)
+    if mtilde < shape.m:
+        raise ConfigError(
+            f"mtilde {mtilde} is below the coefficient count M = {shape.m}"
+        )
+    return mtilde
+
+
 def build_pipeline(config, canonical=None):
     shape = load_shape(config)
     if canonical is None:
-        mtilde = config.mtilde or default_oversampling(shape.m)
-        if mtilde < shape.m:
-            raise ConfigError(
-                f"mtilde {mtilde} is below the coefficient count M = {shape.m}"
-            )
-        canonical = canonical_angles(mtilde)
+        canonical = canonical_angles(_canonical_count(config, shape))
     system = _bem_system(config, shape)
     basis = EmbeddingBasis(
         p=shape.p, angles=canonical, far_fields=system.solve_far_fields(canonical)
@@ -667,6 +673,8 @@ def cmd_table(config, k_list, shape_list, epw_list):
         for shape_name in shape_list
         for k in k_list
     ]
+    for trials in problems:
+        _canonical_count(trials[0], load_shape(trials[0]))
     alphas = _circle_grid(config.n_alpha)
     rows = []
     for trials in problems:

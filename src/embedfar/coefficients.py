@@ -13,8 +13,8 @@ module provides the two regularizations, a truncated-SVD pseudo-inverse
 (strategy one) and greedy column subset selection followed by a direct
 solve on the selected square subsystem (strategy two).  Either way the
 coefficients are one fixed linear map of d; since d is linear in the
-far-field modes, that map is built once per system on the modes, and a
-query costs one far-field row and two short products.
+modes of the weighted patterns, that map is built once per system on the
+modes, and a query costs one far-field row and one short product.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class SystemMatrix:
 
     def __post_init__(self):
         self.sign = -1 if self.basis.p % 2 == 0 else 1
-        self.matrix = self.basis.hat_values(self.basis.angles)[0]
+        self.matrix = self.basis.hat.value(self.basis.angles)
         self._svd = None
         self._subset = None
         self._operators = {}
@@ -170,7 +170,7 @@ class SystemMatrix:
         return float(sigma[0] / sigma[-1])
 
     def right_hand_side(self, alpha):
-        return self.sign * self.basis.hat_values(float(alpha))[0]
+        return self.sign * self.basis.hat.value(float(alpha))
 
     def subset(self):
         if self._subset is None:
@@ -178,17 +178,16 @@ class SystemMatrix:
         return self._subset
 
     def operator(self, strategy, delta=DEFAULT_DELTA):
-        """The fixed linear map from the far-field modes to b(alpha), built
-        on first use: the pair (K1, K2), each (2N+1) x M~, with
+        """The fixed linear map K, (2N+2p+1) x M~, from the modes of the
+        weighted patterns to b(alpha), built on first use:
 
-            b(alpha) = cos(p alpha) r K1 + r K2,   r = far_fields.rows(alpha).
+            b(alpha) = r(alpha) K,   r = basis.hat.rows(alpha).
 
-        As d(alpha) = sign (cos(p alpha) + offset) * (r C) for the mode
-        matrix C, K1 and K2 are the transposed solves for sign C^T and
-        sign diag(offset) C^T: with the truncated-SVD pseudo-inverse of the
-        full oversampled system (strategy one), or on the square subsystem
-        of the greedily selected index set, zero off it (strategy two,
-        where delta plays no part).
+        As d(alpha) = sign r(alpha) C for the weighted mode matrix
+        C = basis.hat.modes, K is the transposed solve for sign C^T: with
+        the truncated-SVD pseudo-inverse of the full oversampled system
+        (strategy one), or on the square subsystem of the greedily selected
+        index set, zero off it (strategy two, where delta plays no part).
         """
         if strategy == "two":
             delta = None
@@ -198,19 +197,12 @@ class SystemMatrix:
             raise ValueError("strategy one needs a positive delta")
         key = (strategy, delta)
         if key not in self._operators:
-            c_t = self.basis.far_fields.modes.T  # (M~, 2N+1)
-            rhs = self.sign * np.concatenate(
-                [c_t, self.basis.offset[:, None] * c_t], axis=1
-            )
+            rhs = self.sign * self.basis.hat.modes.T  # (M~, 2N+2p+1)
             if strategy == "one":
                 solved = tsvd_pseudoinverse(self.svd(), delta) @ rhs
             else:
                 solved = self._subset_solve(rhs)
-            width = c_t.shape[1]
-            self._operators[key] = (
-                np.ascontiguousarray(solved[:, :width].T),
-                np.ascontiguousarray(solved[:, width:].T),
-            )
+            self._operators[key] = np.ascontiguousarray(solved.T)
         return self._operators[key]
 
     def _subset_solve(self, rhs):
@@ -228,14 +220,10 @@ class SystemMatrix:
         return solved
 
     def coefficients(self, alpha, strategy=DEFAULT_STRATEGY, delta=DEFAULT_DELTA):
-        """b(alpha) from the strategy's operator: one far-field row and two
-        short products.  They stay two products: one stacked product is
-        twice the size and reaches the 4096 entries at which OpenBLAS runs
-        a complex GEMV on several threads sooner."""
-        k1, k2 = self.operator(strategy, delta)
-        alpha = float(alpha)
-        row = self.basis.far_fields.rows(alpha)[0]
-        return math.cos(self.basis.p * alpha) * (row @ k1) + row @ k2
+        """b(alpha) from the strategy's operator: one row of the weighted
+        far field and one short product."""
+        operator = self.operator(strategy, delta)
+        return self.basis.hat.rows(float(alpha))[0] @ operator
 
 
 def build_system(basis, coefficient_count):

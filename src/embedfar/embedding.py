@@ -139,56 +139,39 @@ def _environments(theta, alpha, p):
 
 @dataclass
 class EmbeddingBasis:
-    """Canonical incident angles and their far-field patterns.
+    """Canonical incident angles, their far-field patterns and the weighted
+    patterns the embedding formula reads.
 
     far_fields is one stacked operator: far_fields.value(theta, order)
     returns D^(order)(theta, angles[m]) with shape shape(theta) + (m,) for
     real or complex theta and orders 0..2, and equals
-    far_fields.rows(theta, order) @ far_fields.modes, the form the
-    coefficient map reads (bem.FarField does); far_fields.derivatives(theta,
-    order) stacks value(theta, j) for j = 0..order.  offset
-    holds lambda_offset(angles[m], p), so that Lambda(theta, angles[m]) =
-    cos(p theta) + offset[m].
+    far_fields.rows(theta, order) @ far_fields.modes (bem.FarField does);
+    far_fields.derivatives(theta, order) stacks value(theta, j) for
+    j = 0..order.  hat = far_fields.weighted(p, offset) is the same kind of
+    operator for hat_D(theta, angles[m]) = Lambda(theta, angles[m])
+    D(theta, angles[m]), built once: Lambda is cos(p theta) plus a
+    constant per column, and a cosine shifts the modes.
     """
 
     p: int
     angles: np.ndarray
     far_fields: object
-    offset: np.ndarray = field(init=False, repr=False)
+    hat: object = field(init=False, repr=False)
 
     def __post_init__(self):
         self.angles = np.asarray(self.angles, dtype=np.float64)
         if len(self.angles) != len(self.far_fields):
             raise ValueError("one far field per canonical angle required")
-        self.offset = lambda_offset(self.angles, self.p)
+        self.hat = self.far_fields.weighted(
+            self.p, lambda_offset(self.angles, self.p)
+        )
 
     def __len__(self):
         return len(self.angles)
 
-    def hat_values(self, theta, order=0):
-        """Weighted patterns hat_D(theta, alpha_m) = Lambda * D and their
-        theta-derivatives through `order` (Leibniz rule), stacked with
-        shape (order + 1,) + shape(theta) + (m,); one far-field call for
-        every order, and the weights from one cos and one sin."""
-        if order not in (0, 1, 2):
-            raise ValueError("order must be 0, 1 or 2")
-        theta = np.asarray(theta)
-        fields = self.far_fields.derivatives(theta, order)
-        p_theta = self.p * theta[..., None]
-        cos = np.cos(p_theta)
-        weights = [cos + self.offset]
-        if order:
-            weights += [-self.p * np.sin(p_theta), -(self.p * self.p) * cos]
-        out = np.empty(fields.shape, dtype=np.complex128)
-        for n in range(order + 1):
-            out[n] = weights[n] * fields[0]
-            for j in range(1, n + 1):
-                out[n] += math.comb(n, j) * weights[n - j] * fields[j]
-        return out
-
     def numerator(self, coefficients, theta, order=0):
         """sum_m b_m hat_D^(order)(theta, alpha_m), shape shape(theta)."""
-        return _weigh(self.hat_values(theta, order)[order], coefficients)
+        return _weigh(self.hat.value(theta, order), coefficients)
 
 
 def _weigh(hat, coefficients):
@@ -358,7 +341,7 @@ class StabilizedEvaluator:
     contour_order: int = DEFAULT_CONTOUR_ORDER
     branch_counts: Counter = field(default_factory=Counter)
 
-    # (thetas.tobytes(), basis.hat_values(thetas)[0]) of the last grid
+    # (thetas.tobytes(), basis.hat.value(thetas)) of the last grid
     _grid: tuple = field(default=(None, None), repr=False)
 
     def evaluate(self, theta, alpha):
@@ -380,16 +363,14 @@ class StabilizedEvaluator:
             )
         basis, p = self.basis, self.basis.p
         b = self.coefficients(alpha)
-        cos_p = math.cos(p * theta)
-        lam = cos_p + float(lambda_offset(alpha, p))
-        fields = basis.far_fields.value(theta)
-        at_theta = complex(_weigh((cos_p + basis.offset) * fields, b))
+        lam = math.cos(p * theta) + float(lambda_offset(alpha, p))
+        at_theta = complex(_weigh(basis.hat.value(theta), b))
         near = self._near(theta, alpha, lam)
         if near is None:
             value, label = at_theta / lam, "naive"
         else:
             zeros, order = self._zeros_used(theta, *near)
-            at_zeros = _weigh(basis.hat_values(zeros, order), b).T.tolist()
+            at_zeros = _weigh(basis.hat.derivatives(zeros, order), b).T.tolist()
             at_th1 = at_zeros[1][0] if len(zeros) == 2 else None
             value, label, integrand = self._near_value(
                 theta, *near, at_theta, lam, at_zeros[0], at_th1
@@ -444,11 +425,11 @@ class StabilizedEvaluator:
     # internal helpers ---------------------------------------------------
 
     def _grid_patterns(self, thetas):
-        """basis.hat_values(thetas)[0], kept for the last grid and keyed on
-        its values: the weighted patterns do not depend on alpha."""
+        """basis.hat.value(thetas), kept for the last grid and keyed on its
+        values: the weighted patterns do not depend on alpha."""
         key = thetas.tobytes()
         if self._grid[0] != key:
-            self._grid = (key, self.basis.hat_values(thetas)[0])
+            self._grid = (key, self.basis.hat.value(thetas))
         return self._grid[1]
 
     def _near(self, theta, alpha, lam):
@@ -487,7 +468,7 @@ class StabilizedEvaluator:
         used = np.concatenate([th0, th1[uses_th1]])
         zeros = np.unique(used)
         rows = zeros.searchsorted(used)
-        at_zeros = _weigh(self.basis.hat_values(zeros, order), b)
+        at_zeros = _weigh(self.basis.hat.derivatives(zeros, order), b)
         m = len(theta)
         at_th0 = at_zeros[:, rows[:m]]
         at_th1 = np.zeros(m, dtype=np.complex128)

@@ -58,12 +58,21 @@ class TrigFarField:
             coeffs[j] = coeffs.get(j, 0.0) + weight * c
         return TrigFarField(coeffs)
 
+    def weighted(self, p, offset):
+        """(cos(p theta) + offset) times this series, term by term."""
+        coeffs = {}
+        for j, c in self.coefficients.items():
+            for n, w in ((j, offset), (j - p, 0.5), (j + p, 0.5)):
+                coeffs[n] = coeffs.get(n, 0.0) + w * c
+        return TrigFarField(coeffs)
+
 
 class TrigFarFields:
     """Several TrigFarField patterns behind the stacked surface of
     bem.FarField: value(theta, order) has shape shape(theta) + (n,), and
     len() and [m] give the patterns one at a time, and derivatives(theta,
-    order) stacks value(theta, j) for j = 0..order.  modes holds the
+    order) stacks value(theta, j) for j = 0..order, and weighted(p,
+    offset) gives the Lambda-weighted patterns.  modes holds the
     Fourier coefficients c_-N..c_N of each pattern, (2N+1, n), and
     rows(theta, order) the (size(theta), 2N+1) matrix (in)^order
     e^{in theta}, so that value equals rows @ modes up to rounding."""
@@ -93,6 +102,13 @@ class TrigFarFields:
 
     def derivatives(self, theta, order):
         return np.stack([self.value(theta, j) for j in range(order + 1)])
+
+    def weighted(self, p, offset):
+        """The patterns times Lambda = cos(p theta) + offset[m], as
+        bem.FarField.weighted gives them, in this fake's own type."""
+        return type(self)(
+            f.weighted(p, w) for f, w in zip(self.fields, offset)
+        )
 
 
 # Relative data error is amplified by at most this constant (times

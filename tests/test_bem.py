@@ -230,6 +230,31 @@ def test_far_field_derivatives_match_finite_differences(square_k5):
         )
 
 
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_weighted_far_field_is_the_product_rule(square_k5, p):
+    # (cos(p theta) + offset) D as a far field of its own, degree N + p:
+    # its values and derivatives are the product rule on the solved
+    # patterns, on the real axis and off it
+    fields = square_k5.solve_far_fields([0.3, 2.1, 4.0])
+    thetas = np.linspace(0.0, 2.0 * math.pi, 41)[:, None] + [0.0, 0.05j, -0.1j]
+    for ff, offset in ((fields, np.array([0.4, -1.0, 0.9])), (fields[1], -0.7)):
+        hat = ff.weighted(p, offset)
+        assert hat.degree == ff.degree + p
+        assert np.array_equal(hat.centre, ff.centre)
+        d = ff.derivatives(thetas, 2)
+        p_theta = p * (thetas[..., None] if ff.modes.ndim == 2 else thetas)
+        cos, sin = np.cos(p_theta), np.sin(p_theta)
+        weight = cos + offset
+        product = [
+            weight * d[0],
+            weight * d[1] - p * sin * d[0],
+            weight * d[2] - 2 * p * sin * d[1] - p * p * cos * d[0],
+        ]
+        for order in (0, 1, 2):
+            gap = np.abs(hat.value(thetas, order) - product[order])
+            assert float(np.max(gap)) <= 1e-13 * float(np.max(np.abs(product[order])))
+
+
 def test_far_field_product_agrees_across_the_threading_cut():
     # value() runs a product above bem._THREADED_GEMM through scipy's BLAS
     # and a smaller one through numpy's: both read rows @ modes, the

@@ -322,6 +322,8 @@ def no_solver(monkeypatch):
         ["table", "--epw-list", "0"],
         ["table", "--shape-list", "nosuch"],
         ["table", "--epw-list", ""],
+        ["table", "--k-list", "2", "--shape-list", "square,pentagon",
+         "--epw-list", "4", "--mtilde", "10"],
     ],
 )
 def test_bad_experiment_lists_are_config_errors(argv, no_solver, capsys):

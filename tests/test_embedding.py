@@ -1010,3 +1010,44 @@ def test_rotation_identity_of_the_embedded_map(shape, turns):
         turned = np.roll(mapped[1], -turn) - phase * mapped[0]
         e_out = output_error(pipeline, ref, [alpha, alpha + phi], n=len(thetas))
         assert float(np.max(np.abs(turned))) <= 2.0 * e_out * peak, alpha
+
+
+@pytest.mark.parametrize(
+    "shape, psi",
+    [("square", 0.0), ("square", math.pi / 4.0), ("equilateral", math.pi / 2.0)],
+    ids=["square-0", "square-pi/4", "equilateral-pi/2"],
+)
+def test_reflection_identity_of_the_embedded_map(shape, psi):
+    # a reflection of the shape in the axis at angle psi through its vertex
+    # mean c maps the solve at alpha onto the one at 2 psi - alpha: with
+    # d(t) = (cos t, sin t) and t' = 2 psi - t,
+    #   D(theta', alpha')
+    #     = exp(ik c.[d(alpha) - d(alpha') + d(theta) - d(theta')]) D(theta, alpha).
+    # The canonical solves hold it to rounding; the embedded map to the
+    # output errors at alpha and alpha', by the triangle inequality
+    k = 5.0
+    pipeline = build_pipeline(ExperimentConfig(shape=shape, k=k))
+    ref, evaluator = reference_system(pipeline), pipeline.evaluator
+    centre = pipeline.shape.vertices.mean(axis=0)
+    n = 1200
+    thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    # thetas[mirror[i]] = 2 psi - thetas[i] mod 2 pi
+    mirror = (round(2.0 * psi / TWO_PI * n) - np.arange(n)) % n
+
+    def direction(t):
+        return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+    def reflected_by(t):
+        return direction(t) - direction(2.0 * psi - t)
+
+    for alpha in np.random.default_rng(13).uniform(0.0, TWO_PI, 3):
+        image = 2.0 * psi - alpha
+        phase = np.exp(1j * k * ((reflected_by(alpha) + reflected_by(thetas)) @ centre))
+        solves = pipeline.system.solve_far_fields([alpha, image]).value(thetas)
+        peak = float(np.max(np.abs(solves[:, 0])))
+        defect = solves[mirror, 1] - phase * solves[:, 0]
+        assert float(np.max(np.abs(defect))) <= 1e-12 * peak, alpha
+        mapped = [evaluator.evaluate_sweep(thetas, a)[0] for a in (alpha, image)]
+        defect = mapped[1][mirror] - phase * mapped[0]
+        e_out = output_error(pipeline, ref, [alpha, image], n=len(thetas))
+        assert float(np.max(np.abs(defect))) <= 2.0 * e_out * peak, alpha
