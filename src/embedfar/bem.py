@@ -448,10 +448,11 @@ class FarField:
     for one solve or (2N+1, n) for n solves sharing the quadrature, and
     numbers the mode numbers -N..N.  value()
     accepts real or complex observation angles and returns shape(theta),
-    plus (n,) for stacked solves, as rows(theta) @ modes, where a row is
-    e^{in theta} P(theta) mult with P the centre's phase and mult the exact
-    derivative multiplier; derivatives() stacks the orders 0..order from
-    one exp and one product.  A single solve's product is elementwise and
+    plus (n,) for stacked solves, as product(rows(theta)), rows @ modes,
+    where a row is e^{in theta} P(theta) mult with P the centre's phase and
+    mult the exact derivative multiplier; rows_through() gives the rows of
+    the orders 0..order from one exp, and derivatives() their values from
+    one product.  A single solve's product is elementwise and
     uses no BLAS, so that reading one far field, as reports and canonical
     columns do, never wakes numpy's worker threads beside scipy's, which
     still spin after a set-up or a solve.  A stacked product of threaded
@@ -509,10 +510,10 @@ class FarField:
     def rows(self, theta, order=0):
         """The (size(theta), 2N+1) matrix e^{in theta} P(theta) mult that
         value() multiplies into the modes; theta is flattened."""
-        return self._rows_through(theta, order)[order]
+        return self.rows_through(theta, order)[order]
 
     def value(self, theta, order=0):
-        values = self._product(self.rows(theta, order))
+        values = self.product(self.rows(theta, order))
         # [()] turns the 0-d result of a scalar theta into a scalar
         return values.reshape(np.shape(theta) + self.modes.shape[1:])[()]
 
@@ -520,35 +521,50 @@ class FarField:
         """value(theta, j) for j = 0..order, stacked with shape
         (order + 1,) + shape(theta) + modes.shape[1:]: one exp over the
         modes and one product for all orders."""
-        rows = self._rows_through(theta, order)
-        values = self._product(np.concatenate(rows) if order else rows[0])
+        rows = self.rows_through(theta, order)
+        values = self.product(np.concatenate(rows) if order else rows[0])
         shape = (order + 1,) + np.shape(theta) + self.modes.shape[1:]
         return values.reshape(shape)
 
-    def _rows_through(self, theta, order):
-        """[rows(theta, j) for j = 0..order] from one exp.  For one real
-        angle given as a float, cos and sin come from math and the centre's
-        phase is scalar arithmetic, rounded as the array form rounds it."""
+    def rows_through(self, theta, order):
+        """[rows(theta, j) for j = 0..order] from one exp.  Real angles
+        given as a float or a list of floats, the few a one-point query
+        reads, take cos and sin from math and the centre's phase in scalar
+        arithmetic per angle, by the operations the array form applies, so
+        that their rows are the array form's bit for bit wherever math and
+        numpy share cos and sin."""
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
+        (c1, c2), i_n = self.centre.tolist(), self._i_numbers
+        i_k = -1j * self.k
         if isinstance(theta, float):
-            t, cos, sin = theta, math.cos(theta), math.sin(theta)
+            theta = [theta]
+        if isinstance(theta, list):
+            # complex, as i_n * t would cast it
+            t = np.array(theta, dtype=np.complex128)[:, None]
+            cs = [(math.cos(x), math.sin(x)) for x in theta]
+            g = np.array([i_k * (c1 * c + c2 * s) for c, s in cs])[:, None]
+            if order:
+                dg = np.array([i_k * (c2 * c - c1 * s) for c, s in cs])[:, None]
         else:
             t = np.asarray(theta).reshape(-1, 1)
             cos, sin = np.cos(t), np.sin(t)
-        (c1, c2), i_n = self.centre, self._i_numbers
+            g = i_k * (c1 * cos + c2 * sin)
+            if order:
+                dg = i_k * (c2 * cos - c1 * sin)
         # P(theta) = e^g; g'' = -g, so D' = P (g' + in) and
         # D'' = P ((g' + in)^2 - g) mode by mode
-        g = -1j * self.k * (c1 * cos + c2 * sin)
-        rows = [np.exp(g + i_n * t)]
+        exponent = i_n * t
+        exponent += g
+        rows = [np.exp(exponent, out=exponent)]
         if order:
-            slope = -1j * self.k * (c2 * cos - c1 * sin) + i_n
+            slope = dg + i_n
             rows.append(rows[0] * slope)
         if order == 2:
             rows.append(rows[0] * (slope * slope - g))
         return rows
 
-    def _product(self, rows):
+    def product(self, rows):
         """rows @ modes.  For a single solve, an elementwise product and
         sum: no BLAS call and no thread at any size, and each row's digits
         do not depend on the number of rows.  For stacked solves, scipy's

@@ -46,6 +46,8 @@ from .embedding import (
     StabilizedEvaluator,
     lambda_weight,
     naive_eval,
+    pole_set,
+    smallest_cluster_threshold,
 )
 from .geometry import (
     PRESET_NAMES,
@@ -283,6 +285,18 @@ def _canonical_count(config, shape):
     return mtilde
 
 
+def _check_double_zero_clearance(config, shape):
+    """grid and table evaluate alpha = 0, where every zero of Lambda is
+    double; a cluster threshold too small for a contour round one to clear
+    contour_eval's guard would fail only after every solve."""
+    bound = smallest_cluster_threshold(shape.p)
+    if config.small_h < bound:
+        raise ConfigError(
+            f"small_h {config.small_h:g} is below {bound:.3g}, the least "
+            f"clearance of a contour round a double zero for p = {shape.p}"
+        )
+
+
 def build_pipeline(config, canonical=None):
     shape = load_shape(config)
     if canonical is None:
@@ -302,16 +316,12 @@ def build_pipeline(config, canonical=None):
 
 
 def make_evaluator(matrix, config):
-    """Stabilized evaluator on the canonical system's basis, with the
-    coefficients of config's strategy and delta.  The operator behind them
-    is built on the first query, so a rank-deficient system raises there."""
-
-    def coefficients(alpha):
-        return matrix.coefficients(alpha, config.strategy, config.delta)
-
-    return StabilizedEvaluator(
-        basis=matrix.basis,
-        coefficients=coefficients,
+    """Stabilized evaluator on the canonical system's basis with the
+    operator of config's strategy and delta, built on the first
+    evaluation, so a rank-deficient system raises there."""
+    return matrix.evaluator(
+        config.strategy,
+        config.delta,
         near_threshold=config.big_h,
         cluster_threshold=config.small_h,
         contour_order=config.contour_order,
@@ -458,7 +468,7 @@ def cmd_sweep(config):
     scale = float(np.max(np.abs(ref_values)))
     values, labels = pipeline.evaluator.evaluate_sweep(thetas, alpha)
     stabilized = np.abs(values - ref_values) / scale
-    b = pipeline.matrix.coefficients(alpha, config.strategy, config.delta)
+    b = pipeline.evaluator.coefficients(alpha)
     naive = naive_error_curve(
         pipeline.matrix.basis, b, alpha, thetas, ref_values, scale
     )
@@ -487,6 +497,7 @@ def cmd_sweep(config):
 
 def cmd_grid(config):
     start = time.perf_counter()
+    _check_double_zero_clearance(config, load_shape(config))
     pipeline = build_pipeline(config)
     thetas = _circle_grid(config.n_theta)
     alphas = _circle_grid(config.n_alpha)
@@ -527,12 +538,7 @@ def cmd_grid(config):
         extra_metadata={"spot_check_columns": " ".join(str(j) for j in picks)},
     )
     bnorm = np.median(
-        [
-            np.linalg.norm(
-                pipeline.matrix.coefficients(float(a), config.strategy, config.delta)
-            )
-            for a in alphas[picks]
-        ]
+        [np.linalg.norm(pipeline.evaluator.coefficients(a)) for a in alphas[picks]]
     )
     _print_report(
         _report_lines(pipeline, ref, float(np.max(err)), float(bnorm), start),
@@ -572,7 +578,7 @@ def _trial_error(base, config, ref, alphas):
     base's canonical system."""
     trial = replace(base, evaluator=make_evaluator(base.matrix, config))
     worst = output_error(trial, ref, alphas)
-    b = base.matrix.coefficients(float(alphas[0]), config.strategy, config.delta)
+    b = trial.evaluator.coefficients(alphas[0])
     return worst, float(np.linalg.norm(b))
 
 
@@ -674,7 +680,9 @@ def cmd_table(config, k_list, shape_list, epw_list):
         for k in k_list
     ]
     for trials in problems:
-        _canonical_count(trials[0], load_shape(trials[0]))
+        shape = load_shape(trials[0])
+        _canonical_count(trials[0], shape)
+        _check_double_zero_clearance(trials[0], shape)
     alphas = _circle_grid(config.n_alpha)
     rows = []
     for trials in problems:
@@ -746,6 +754,19 @@ def cmd_selftest(config):
     ref = reference_system(pipeline)
     e_out = output_error(pipeline, ref, [2.0], n=200)
     checks.append(("screen pipeline error < 0.1", e_out < 0.1))
+
+    # the one-point path against the sweep at a naive point, midway between
+    # the two zeros, and at a point within small_h of a zero
+    evaluator, zeros = pipeline.evaluator, pole_set(2.0, pipeline.shape.p)
+    naive, near = 0.5 * float(zeros[0] + zeros[1]), zeros[0] + 0.5 * tiny.small_h
+    thetas = np.concatenate([_circle_grid(200), [naive, near]])
+    values, labels = evaluator.evaluate_sweep(thetas, 2.0)
+    peak = float(np.max(np.abs(values)))
+    agree = labels[-2] == "naive" and labels[-1] != "naive"
+    for i in (-2, -1):
+        value, label = evaluator.evaluate_with_branch(thetas[i], 2.0)
+        agree &= label == labels[i] and abs(value - values[i]) <= 1e-12 * peak
+    checks.append(("one-point path matches the sweep", agree))
 
     failed = 0
     for name, ok in checks:

@@ -19,13 +19,14 @@ modes, and a query costs one far-field row and one short product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .embedding import EmbeddingBasis
+from .embedding import EmbeddingBasis, StabilizedEvaluator
 
 DEFAULT_DELTA = 1e-8
 DEFAULT_STRATEGY = "two"
@@ -219,11 +220,17 @@ class SystemMatrix:
         solved[idx] = lu_solve((lu, piv), rhs[idx])
         return solved
 
-    def coefficients(self, alpha, strategy=DEFAULT_STRATEGY, delta=DEFAULT_DELTA):
-        """b(alpha) from the strategy's operator: one row of the weighted
-        far field and one short product."""
-        operator = self.operator(strategy, delta)
-        return self.basis.hat.rows(float(alpha))[0] @ operator
+    def evaluator(
+        self, strategy=DEFAULT_STRATEGY, delta=DEFAULT_DELTA, **thresholds
+    ):
+        """Stabilized evaluator on the basis with the strategy's operator,
+        which it builds on its first evaluation; thresholds are its
+        near_threshold, cluster_threshold and contour_order."""
+        return StabilizedEvaluator(
+            basis=self.basis,
+            build_operator=functools.partial(self.operator, strategy, delta),
+            **thresholds,
+        )
 
 
 def build_system(basis, coefficient_count):
@@ -237,9 +244,9 @@ def coefficients_for(
     """Embedding coefficients for one incidence angle from the strategy's
     operator, with the residual against the right-hand side and the
     coefficient norm.  Nothing in the package calls it: the commands read
-    system.coefficients and its norm.  It stays while the benchmark's
-    tracer (perfbench/layers.py) wraps cli.coefficients_for."""
-    b = system.coefficients(alpha, strategy, delta)
+    their evaluator's coefficients and its norm.  It stays while the
+    benchmark's tracer (perfbench/layers.py) wraps cli.coefficients_for."""
+    b = system.evaluator(strategy, delta).coefficients(alpha)
     return CoefficientVector(
         values=b,
         residual_norm=float(

@@ -32,6 +32,8 @@ DEFAULT_CONTOUR_ORDER = 20
 # interpolation error of order g^2 times the third derivative.  Both
 # stay near 1e-6 of the data scale at the crossover below.
 _CONFLUENT = 1e-5
+# contour_eval's least admissible |Lambda(z) (z - theta)| on a contour
+_CONTOUR_GUARD = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 
@@ -61,8 +63,11 @@ def lambda_weight(theta, alpha, p):
 
 
 def lambda_offset(alpha, p):
-    """The alpha part -(-1)^p cos(p alpha) of Lambda(theta, alpha)."""
+    """The alpha part -(-1)^p cos(p alpha) of Lambda(theta, alpha); a
+    float alpha, as a sweep or a point has, gives a float from math."""
     sign = -1.0 if p % 2 == 0 else 1.0
+    if isinstance(alpha, float):
+        return sign * math.cos(p * alpha)
     return sign * np.cos(p * np.asarray(alpha))
 
 
@@ -270,6 +275,14 @@ def rect_contour(points, clearance):
     )
 
 
+def smallest_cluster_threshold(p):
+    """The least cluster threshold h whose rectangles round a double zero
+    of Lambda clear contour_eval's guard.  There |Lambda(z)| is at least
+    p^2 h^2 / 2 on a rectangle at clearance h and |z - theta| at least h,
+    so the denominator is at least p^2 h^3 / 2."""
+    return (2.0 * _CONTOUR_GUARD / p**2) ** (1.0 / 3.0)
+
+
 def contour_eval(numerator_fn, theta, alpha, p, contour, order=DEFAULT_CONTOUR_ORDER):
     """(1/2 pi i) times the contour integral of
     numerator_fn(z) / (Lambda(z, alpha) (z - theta)).
@@ -283,7 +296,7 @@ def contour_eval(numerator_fn, theta, alpha, p, contour, order=DEFAULT_CONTOUR_O
     nodes, weights = contour.quadrature(order)
     lam = lambda_weight(nodes, alpha, p)
     denom = lam * (nodes - theta)
-    if np.min(np.abs(denom)) <= 1e-12:
+    if np.min(np.abs(denom)) <= _CONTOUR_GUARD:
         raise PoleOnContour("integrand pole on or too close to the contour")
     values = numerator_fn(nodes) / denom
     return (values * weights).sum(axis=-1) / (2j * math.pi)
@@ -330,19 +343,40 @@ class StabilizedEvaluator:
     """Far-field evaluation through the embedding formula with automatic
     residue and contour corrections near the zeros of Lambda(., alpha).
 
-    coefficients maps an incidence angle to the coefficient array over
-    basis.angles; it is called once per sweep or point.
+    The coefficients over basis.angles are b(alpha) = r(alpha) K, with
+    r(alpha) the row of basis.hat at alpha and K the coefficient operator
+    (coefficients.SystemMatrix.operator), (len(basis.hat.modes), len(basis)).
+    build_operator is a function of no arguments that returns K; the first
+    evaluation calls it and the evaluator keeps K, so a canonical system
+    that cannot give one fails there and not when the evaluator is made.
     """
 
     basis: EmbeddingBasis
-    coefficients: object
+    build_operator: object
     near_threshold: float = DEFAULT_NEAR_THRESHOLD
     cluster_threshold: float = DEFAULT_CLUSTER_THRESHOLD
     contour_order: int = DEFAULT_CONTOUR_ORDER
     branch_counts: Counter = field(default_factory=Counter)
 
+    _operator: np.ndarray = field(default=None, init=False, repr=False)
     # (thetas.tobytes(), basis.hat.value(thetas)) of the last grid
     _grid: tuple = field(default=(None, None), repr=False)
+
+    @property
+    def operator(self):
+        """The coefficient operator K, built on first use."""
+        if self._operator is None:
+            self._operator = self.build_operator()
+        return self._operator
+
+    def coefficients(self, alpha):
+        """b(alpha) over basis.angles."""
+        return self._coefficients(self.basis.hat.rows(float(alpha)))
+
+    def _coefficients(self, rows):
+        """b(alpha) = r(alpha) K from rows of basis.hat whose first is the
+        row at alpha."""
+        return rows[0] @ self.operator
 
     def evaluate(self, theta, alpha):
         """Stabilized far-field value at one (theta, alpha) pair."""
@@ -350,30 +384,41 @@ class StabilizedEvaluator:
 
     def evaluate_with_branch(self, theta, alpha):
         """Value and branch label at one (theta, alpha) pair, in Python
-        numbers: the coefficients, one far-field call at theta and Lambda
-        give the naive quotient; a point within big_h of a zero adds the
-        numerator at the zeros it uses, takes its branch by the rules a
-        sweep's contour points follow, and integrates its one rectangle
-        with the integrator a sweep gives all of its rectangles.  The kept
-        grid is left alone."""
+        numbers.  Lambda and the cut read only the angles, so the zeros a
+        point within big_h of a zero uses are known first; then one
+        basis.hat.rows_through call gives the rows at alpha, theta and those
+        zeros through the derivative order the point's quadratic fit needs.
+        The row at alpha times K gives the coefficients, and the others
+        times the modes of basis.hat, in one product, the numerator.  A
+        near point takes its branch by the rules a sweep's contour points
+        follow and integrates its one rectangle with the integrator a sweep
+        gives all of its rectangles.  The kept grid is left alone."""
         theta, alpha = float(theta), float(alpha)
         if not (math.isfinite(theta) and math.isfinite(alpha)):
             raise ValueError(
                 f"angles must be finite: theta={theta!r}, alpha={alpha!r}"
             )
-        basis, p = self.basis, self.basis.p
-        b = self.coefficients(alpha)
-        lam = math.cos(p * theta) + float(lambda_offset(alpha, p))
-        at_theta = complex(_weigh(basis.hat.value(theta), b))
+        hat, p = self.basis.hat, self.basis.p
+        lam = math.cos(p * theta) + lambda_offset(alpha, p)
         near = self._near(theta, alpha, lam)
+        zeros, order = ([], 0) if near is None else self._zeros_used(theta, *near)
+        rows = hat.rows_through([alpha, theta, *zeros], order)
+        b = self._coefficients(rows[0])
+        # theta and the zeros, then the zeros' rows of each higher order
+        numerator_rows = rows[0][1:]
+        if order:
+            numerator_rows = np.concatenate(
+                [numerator_rows, *(r[2:] for r in rows[1:])]
+            )
+        at = _weigh(hat.product(numerator_rows), b).tolist()
         if near is None:
-            value, label = at_theta / lam, "naive"
+            value, label = at[0] / lam, "naive"
         else:
-            zeros, order = self._zeros_used(theta, *near)
-            at_zeros = _weigh(basis.hat.derivatives(zeros, order), b).T.tolist()
-            at_th1 = at_zeros[1][0] if len(zeros) == 2 else None
+            # at[1::n] holds the orders at theta0, at[2] the value at theta0'
+            n = len(zeros)
+            at_th1 = at[2] if n == 2 else None
             value, label, integrand = self._near_value(
-                theta, *near, at_theta, lam, at_zeros[0], at_th1
+                theta, *near, at[0], lam, at[1::n], at_th1
             )
             if integrand is not None:
                 contour, rho = integrand

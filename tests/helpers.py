@@ -14,8 +14,10 @@ import math
 import numpy as np
 
 from embedfar.bem import _NEAR_QUAD_ORDER, _smooth_kernel_part, hankel1
+from embedfar.coefficients import DEFAULT_DELTA
 from embedfar.embedding import (
     DoublePoleInSimpleBranch,
+    StabilizedEvaluator,
     _fit_quadratic,
     contour_eval,
     naive_eval,
@@ -75,7 +77,9 @@ class TrigFarFields:
     offset) gives the Lambda-weighted patterns.  modes holds the
     Fourier coefficients c_-N..c_N of each pattern, (2N+1, n), and
     rows(theta, order) the (size(theta), 2N+1) matrix (in)^order
-    e^{in theta}, so that value equals rows @ modes up to rounding."""
+    e^{in theta}; value is product(rows), rows @ modes summed elementwise
+    so that each row's digits do not depend on the number of rows, and
+    rows_through(theta, order) lists the rows of the orders 0..order."""
 
     def __init__(self, fields):
         self.fields = list(fields)
@@ -91,6 +95,12 @@ class TrigFarFields:
         t = np.asarray(theta, dtype=np.complex128).reshape(-1, 1)
         return (1j * self.numbers) ** order * np.exp(1j * self.numbers * t)
 
+    def rows_through(self, theta, order):
+        return [self.rows(theta, j) for j in range(order + 1)]
+
+    def product(self, rows):
+        return (rows[:, :, None] * self.modes).sum(axis=1)
+
     def __len__(self):
         return len(self.fields)
 
@@ -98,7 +108,8 @@ class TrigFarFields:
         return self.fields[m]
 
     def value(self, theta, order=0):
-        return np.stack([f.value(theta, order) for f in self.fields], axis=-1)
+        values = self.product(self.rows(theta, order))
+        return values.reshape(np.shape(theta) + (len(self.fields),))
 
     def derivatives(self, theta, order):
         return np.stack([self.value(theta, j) for j in range(order + 1)])
@@ -182,6 +193,33 @@ def exact_coefficients(T, angles, p, alpha):
     ta = complex(T.value(alpha))
     rhs = np.array([ta, np.cos(p * float(alpha)) * ta])
     return np.linalg.solve(_pair_matrix(T, angles, p), rhs)
+
+
+def exact_operator(T, angles, p, basis):
+    """The coefficient operator K of the rank-one family on the mode
+    numbers of basis.hat, so that basis.hat.rows(alpha) K is
+    exact_coefficients(T, angles, p, alpha): b = A^-1 (T(alpha),
+    cos(p alpha) T(alpha)), and both entries of the right-hand side are
+    rows of the modes of T and of cos(p theta) T."""
+    numbers = basis.hat.numbers
+    t = np.array([T.coefficients.get(int(n), 0.0) for n in numbers])
+    shifted = T.weighted(p, 0.0).coefficients
+    cos_t = np.array([shifted.get(int(n), 0.0) for n in numbers])
+    inverse = np.linalg.inv(_pair_matrix(T, angles, p))
+    return np.stack([t, cos_t], axis=1) @ inverse.T
+
+
+def exact_evaluator(T, angles, p, basis, **thresholds):
+    """StabilizedEvaluator of the rank-one family on basis with its exact
+    coefficient operator."""
+    operator = exact_operator(T, angles, p, basis)
+    return StabilizedEvaluator(basis, lambda: operator, **thresholds)
+
+
+def coefficients_of(system, alpha, strategy="two", delta=DEFAULT_DELTA):
+    """b(alpha) of a coefficients.SystemMatrix for the strategy, as an
+    evaluator on it reads them."""
+    return system.evaluator(strategy, delta).coefficients(alpha)
 
 
 def true_value(T, theta, alpha):

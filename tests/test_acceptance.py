@@ -532,7 +532,7 @@ def test_criterion_11_canonical_identity():
     for j in subset:
         unit = np.zeros(len(pipeline.angles))
         unit[j] = 1.0
-        b = matrix.coefficients(float(pipeline.angles[j]), strategy="two")
+        b = pipeline.evaluator.coefficients(pipeline.angles[j])
         worst_unit = max(worst_unit, float(np.max(np.abs(b - unit))))
 
     thetas = np.linspace(0.0, TWO_PI, 1000, endpoint=False)

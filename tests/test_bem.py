@@ -329,6 +329,26 @@ def test_far_field_rows_of_one_real_angle(square_k5):
             assert fields.value(theta, order).shape == (2,)
 
 
+def test_far_field_rows_of_a_list_of_real_angles():
+    # a one-point query reads the rows at alpha, theta and its zeros as a
+    # list of floats: bit for bit the array form's rows and the one-float
+    # rows stacked, for every order, on a solved pentagon's weighted field
+    system = build_system(preset_shape("pentagon"), 10.0)
+    hat = system.solve_far_fields(np.linspace(0.1, 6.0, 45)).weighted(5, 0.3)
+    angles = [2.0, 0.4, 1.2566370614359172, 1.2566470614359172, -3.1, 40.0]
+    for order in (0, 1, 2):
+        listed = hat.rows_through(angles, order)
+        arrayed = hat.rows_through(np.array(angles), order)
+        one_by_one = [hat.rows_through(x, order) for x in angles]
+        assert len(listed) == order + 1
+        for j in range(order + 1):
+            assert listed[j].shape == (len(angles), len(hat.modes))
+            assert np.array_equal(listed[j], arrayed[j])
+            stacked = np.concatenate([rows[j] for rows in one_by_one])
+            assert np.array_equal(listed[j], stacked)
+            assert np.array_equal(hat.rows(angles, j), listed[j])
+
+
 def test_far_field_is_entire_in_theta(square_k5):
     # complex observation angles feed the contour quadrature; values along a
     # short vertical segment must match a Taylor step from the real axis

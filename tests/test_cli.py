@@ -27,7 +27,8 @@ from embedfar.cli import (
     parse_config_file,
     write_csv,
 )
-from embedfar.coefficients import NoConvergence, SystemMatrix
+from embedfar.coefficients import NoConvergence
+from embedfar.embedding import StabilizedEvaluator
 from embedfar.geometry import MAX_ANGLE_DENOMINATOR
 from helpers import BRANCH_LABELS
 
@@ -332,6 +333,27 @@ def test_bad_experiment_lists_are_config_errors(argv, no_solver, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["grid", "--shape", "square", "--k", "5", "--small-h", "5e-5"], "7.94e-05"),
+        (["table", "--shape-list", "square", "--k-list", "5", "--small-h", "5e-5"],
+         "7.94e-05"),
+        (["grid", "--shape", "pentagon", "--small-h", "3e-5", "--n-theta", "61"],
+         "4.31e-05"),
+        (["table", "--shape-list", "square,screen", "--small-h", "1e-4"], "0.000126"),
+    ],
+)
+def test_cluster_threshold_below_double_zero_clearance_is_config_error(
+    argv, bound, no_solver, capsys
+):
+    # grid and table evaluate alpha = 0, where every zero is double: below
+    # (2e-12 / p^2)^(1/3) a contour round one meets contour_eval's guard
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and bound in err
+
+
+@pytest.mark.parametrize(
     "line", ["bem.layers = 0", "embedding.contour_order = 500"]
 )
 def test_config_file_limits_are_config_errors(line, tmp_path, no_solver, capsys):
@@ -366,13 +388,13 @@ def test_sweep_solves_for_its_coefficients_once(monkeypatch, tmp_path):
     # the naive curve and the reported norm share one coefficient solve;
     # the stabilized sweep makes the other
     solved = []
-    solve = SystemMatrix.coefficients
+    solve = StabilizedEvaluator.coefficients
 
-    def counted(system, alpha, *args, **kwargs):
+    def counted(evaluator, alpha):
         solved.append(alpha)
-        return solve(system, alpha, *args, **kwargs)
+        return solve(evaluator, alpha)
 
-    monkeypatch.setattr(SystemMatrix, "coefficients", counted)
+    monkeypatch.setattr(StabilizedEvaluator, "coefficients", counted)
     rc = main(["sweep", "--shape", "screen", "--k", "5", "--alpha", "1.0",
                "--n-theta", "64", "--out", str(tmp_path / "sweep.csv")])
     assert rc == EXIT_OK

@@ -42,6 +42,8 @@ from helpers import (
     closed_form,
     error_constant,
     exact_coefficients,
+    exact_evaluator,
+    exact_operator,
     random_trig,
     rank_one_family,
     residue_eval,
@@ -395,10 +397,7 @@ def test_evaluator_reproduces_consistent_family(p):
     T, angles, fields = rank_one_family(p, rng)
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
     alpha = float(rng.uniform(0.0, TWO_PI))
-    evaluator = StabilizedEvaluator(
-        basis=basis,
-        coefficients=lambda a: exact_coefficients(T, angles, p, a),
-    )
+    evaluator = exact_evaluator(T, angles, p, basis)
     zeros = pole_set(alpha, p)
     thetas = np.concatenate(
         [
@@ -432,10 +431,7 @@ def test_sweep_matches_pointwise_evaluation():
     T, angles, fields = rank_one_family(p, rng)
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
     alpha = 1.1
-    evaluator = StabilizedEvaluator(
-        basis=basis,
-        coefficients=lambda a: exact_coefficients(T, angles, p, a),
-    )
+    evaluator = exact_evaluator(T, angles, p, basis)
     thetas = np.linspace(0.0, TWO_PI, 157)
     swept, _ = evaluator.evaluate_sweep(thetas, alpha)
     single = np.array([evaluator.evaluate(t, alpha) for t in thetas])
@@ -457,10 +453,7 @@ def test_dispatch_selects_documented_branches():
         (math.pi / 2.0, math.pi / 2.0, "contour:full"),
     ]
     for theta, alpha, expected_branch in cases:
-        evaluator = StabilizedEvaluator(
-            basis=basis,
-            coefficients=lambda a: exact_coefficients(T, angles, p, a),
-        )
+        evaluator = exact_evaluator(T, angles, p, basis)
         value, branch = evaluator.evaluate_with_branch(theta, alpha)
         assert branch == expected_branch, (theta, alpha, branch)
         truth = true_value(T, theta, alpha)
@@ -476,9 +469,7 @@ def test_stabilization_bounds_noise_amplification():
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=noisy)
     alpha = 0.8
     b = exact_coefficients(T, angles, p, alpha)
-    evaluator = StabilizedEvaluator(
-        basis=basis, coefficients=lambda a: b
-    )
+    evaluator = exact_evaluator(T, angles, p, basis)
     chi = float(pole_set(alpha, p)[0])
     theta = chi + 1e-7
     stabilized = complex(evaluator.evaluate(theta, alpha))
@@ -529,9 +520,7 @@ def test_every_branch_matches_closed_form_on_noisy_data(p):
     noisy = TrigFarFields(f.plus(random_trig(rng, degree=3), eps) for f in fields)
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=noisy)
     exact = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
-    evaluator = StabilizedEvaluator(
-        basis=basis, coefficients=lambda a: exact_coefficients(T, angles, p, a)
-    )
+    evaluator = exact_evaluator(T, angles, p, basis)
     grid = np.linspace(0.0, TWO_PI, 200, endpoint=False)
     c = math.pi / p if p % 2 else 0.0
     for alpha in sorted({alpha for _, alpha, _ in _BRANCH_CASES}):
@@ -553,20 +542,34 @@ def test_coefficient_cache_and_branch_counts():
     p = 2
     T, angles, fields = rank_one_family(p, rng)
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
-    calls = []
+    operator = exact_operator(T, angles, p, basis)
+    built, read = [], []
 
-    def supplier(alpha):
-        calls.append(alpha)
-        return exact_coefficients(T, angles, p, alpha)
+    class CountedOperator:
+        # numpy defers row @ K to __rmatmul__, which records the row
+        __array_ufunc__ = None
 
-    evaluator = StabilizedEvaluator(basis=basis, coefficients=supplier)
+        def __rmatmul__(self, row):
+            read.append(row.copy())
+            return row @ operator
+
+    def build():
+        built.append(True)
+        return CountedOperator()
+
+    evaluator = StabilizedEvaluator(basis=basis, build_operator=build)
+    assert built == []
     thetas = np.linspace(0.0, TWO_PI, 100, endpoint=False)
     evaluator.evaluate_sweep(thetas, 0.9)
     evaluator.evaluate_sweep(thetas, 0.9)
     evaluator.evaluate(1.0, 0.9)
-    # one coefficient call per sweep or point: the evaluator keeps no
+    # K is built once, on the first evaluation; each sweep or point then
+    # multiplies the row at alpha into it afresh: the evaluator keeps no
     # per-alpha state
-    assert calls == [0.9, 0.9, 0.9]
+    assert built == [True]
+    row = basis.hat.rows(0.9)[0]
+    assert len(read) == 3
+    assert all(np.array_equal(r, row) for r in read)
     assert sum(evaluator.branch_counts.values()) == 201
 
 
@@ -575,10 +578,7 @@ def test_evaluator_state_does_not_grow_with_alpha():
     p = 3
     T, angles, fields = rank_one_family(p, rng)
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
-    evaluator = StabilizedEvaluator(
-        basis=basis,
-        coefficients=lambda a: exact_coefficients(T, angles, p, a),
-    )
+    evaluator = exact_evaluator(T, angles, p, basis)
     thetas = np.linspace(0.0, TWO_PI, 40, endpoint=False)
 
     def state():
@@ -603,10 +603,7 @@ def test_sweep_follows_in_place_edits_of_thetas():
     p = 3
     T, angles, fields = rank_one_family(p, rng)
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
-    evaluator = StabilizedEvaluator(
-        basis=basis,
-        coefficients=lambda a: exact_coefficients(T, angles, p, a),
-    )
+    evaluator = exact_evaluator(T, angles, p, basis)
     thetas = np.linspace(0.0, TWO_PI, 90, endpoint=False)
     evaluator.evaluate_sweep(thetas, 0.9)
     thetas += 0.37
@@ -623,13 +620,14 @@ def test_evaluator_rejects_non_finite_angles(bad):
     p = 2
     T, angles, fields = rank_one_family(p, rng)
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
+    operator = exact_operator(T, angles, p, basis)
     calls = []
 
-    def supplier(alpha):
-        calls.append(alpha)
-        return exact_coefficients(T, angles, p, alpha)
+    def build():
+        calls.append(True)
+        return operator
 
-    evaluator = StabilizedEvaluator(basis=basis, coefficients=supplier)
+    evaluator = StabilizedEvaluator(basis=basis, build_operator=build)
     thetas = np.linspace(0.0, TWO_PI, 20, endpoint=False)
     with_bad = thetas.copy()
     with_bad[7] = bad
@@ -656,10 +654,7 @@ def _noisy_evaluator(p, seed, fields_type=TrigFarFields):
     T, angles, fields = rank_one_family(p, rng)
     noisy = fields_type(f.plus(random_trig(rng, degree=3), 1e-3) for f in fields)
     basis = EmbeddingBasis(p=p, angles=angles, far_fields=noisy)
-    return StabilizedEvaluator(
-        basis=basis,
-        coefficients=lambda a: exact_coefficients(T, angles, p, a),
-    )
+    return exact_evaluator(T, angles, p, basis)
 
 
 def _assert_matches_oracle(evaluator, thetas, alpha):
@@ -757,20 +752,15 @@ def test_dispatcher_matches_oracle_at_branch_boundaries(
     _assert_matches_oracle(_EVALUATORS[p], thetas, alpha)
 
 
-def test_naive_query_reads_one_row_per_angle(monkeypatch):
-    # a one-point query away from every zero costs the coefficient map's
-    # row at alpha and one far-field call at theta, whose row is the
-    # second; it never runs as a sweep
-    pipeline = build_pipeline(ExperimentConfig(shape="square", k=5.0))
-    theta, alpha = 2.0, 0.6
-    th0, _ = pole_environment(theta, alpha, pipeline.shape.p)
-    assert abs(theta - th0) >= DEFAULT_NEAR_THRESHOLD
+def _far_field_reads(monkeypatch):
+    """Records every FarField row evaluation as (angles, order) and every
+    FarField.value call as ("value", theta), and fails a sweep."""
     calls = []
-    rows, value = FarField.rows, FarField.value
+    rows_through, value = FarField.rows_through, FarField.value
 
-    def counted_rows(self, theta, order=0):
-        calls.append(("rows", theta))
-        return rows(self, theta, order)
+    def counted_rows(self, theta, order):
+        calls.append((list(theta), order))
+        return rows_through(self, theta, order)
 
     def counted_value(self, theta, order=0):
         calls.append(("value", theta))
@@ -779,12 +769,67 @@ def test_naive_query_reads_one_row_per_angle(monkeypatch):
     def no_sweep(*args):
         raise AssertionError("a one-point query ran as a sweep")
 
-    monkeypatch.setattr(FarField, "rows", counted_rows)
+    monkeypatch.setattr(FarField, "rows_through", counted_rows)
     monkeypatch.setattr(FarField, "value", counted_value)
     monkeypatch.setattr(StabilizedEvaluator, "evaluate_sweep", no_sweep)
+    return calls
+
+
+def test_naive_query_reads_one_row_per_angle(monkeypatch):
+    # a one-point query away from every zero makes one row evaluation, at
+    # alpha for the coefficients and at theta for the numerator, and no
+    # far-field value call; it never runs as a sweep
+    pipeline = build_pipeline(ExperimentConfig(shape="square", k=5.0))
+    theta, alpha = 2.0, 0.6
+    th0, _ = pole_environment(theta, alpha, pipeline.shape.p)
+    assert abs(theta - th0) >= DEFAULT_NEAR_THRESHOLD
+    calls = _far_field_reads(monkeypatch)
     _, label = pipeline.evaluator.evaluate_with_branch(theta, alpha)
     assert label == "naive"
-    assert calls == [("rows", alpha), ("value", theta), ("rows", theta)]
+    assert calls == [([alpha, theta], 0)]
+
+
+@pytest.mark.parametrize(
+    "offset, label, order",
+    [(0.05, "residue:single", 0), (0.003, "contour:full", 0),
+     (1e-6, "contour:full", 1), (0.0, "contour:full", 1)],
+)
+def test_near_query_reads_one_row_evaluation(monkeypatch, offset, label, order):
+    # a point within big_h of a zero also makes one row evaluation: at
+    # alpha, theta and the zeros its branch uses, through the derivative
+    # order its quadratic fit needs
+    pipeline = build_pipeline(ExperimentConfig(shape="square", k=5.0))
+    alpha = 0.6
+    theta = alpha + offset
+    th0, th1 = pole_environment(theta, alpha, pipeline.shape.p)
+    zeros = [th0] if label.startswith("residue") else [th0, th1]
+    calls = _far_field_reads(monkeypatch)
+    _, got = pipeline.evaluator.evaluate_with_branch(theta, alpha)
+    assert got == label
+    assert calls == [([alpha, theta, *zeros], order)]
+
+
+def test_query_matches_oracle_on_the_queries_workload():
+    # the benchmark's 2,000 seeded pentagon queries at k = 10 (perfbench
+    # workload `queries`, seed 1): labels equal to the scalar oracle's and
+    # values within 1e-12 of the scale, the largest value of the queries
+    pipeline = build_pipeline(ExperimentConfig(shape="pentagon", k=10.0, seed=1))
+    rng = np.random.default_rng(1)
+    thetas = rng.uniform(0.0, TWO_PI, 2000)
+    alphas = rng.uniform(0.0, TWO_PI, 2000)
+    evaluator = pipeline.evaluator
+    got, want = [], []
+    for theta, alpha in zip(thetas, alphas):
+        value, label = evaluator.evaluate_with_branch(theta, alpha)
+        expected, expected_label = scalar_dispatch(evaluator, theta, alpha)
+        assert label == expected_label, (theta, alpha)
+        got.append(complex(value))
+        want.append(complex(expected))
+    got, want = np.array(got), np.array(want)
+    scale = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+    labels = set(evaluator.branch_counts)
+    assert {"naive", "residue:single", "residue:two", "contour:full"} <= labels
 
 
 def test_far_field_calls_per_sweep():
@@ -869,7 +914,7 @@ def test_sweep_raises_when_a_rectangle_touches_a_pole():
     # within 1e-13 of the zero and of theta
     noisy = _noisy_evaluator(2, seed=47)
     evaluator = StabilizedEvaluator(
-        basis=noisy.basis, coefficients=noisy.coefficients, cluster_threshold=1e-13
+        basis=noisy.basis, build_operator=noisy.build_operator, cluster_threshold=1e-13
     )
     alpha = 0.8
     chi = float(pole_set(alpha, 2)[0])
@@ -887,7 +932,7 @@ def test_residue_branch_raises_beside_a_double_zero():
     # theta = pi / 2 rounds to 0; both paths raise the same failure
     noisy = _noisy_evaluator(2, seed=47)
     evaluator = StabilizedEvaluator(
-        basis=noisy.basis, coefficients=noisy.coefficients, cluster_threshold=1e-13
+        basis=noisy.basis, build_operator=noisy.build_operator, cluster_threshold=1e-13
     )
     alpha, theta = math.pi / 2.0 + 4e-13, math.pi / 2.0
     assert float(lambda_weight(theta, alpha, 2)) == 0.0
@@ -903,7 +948,7 @@ def test_oracle_raises_the_evaluators_failure_beside_a_double_zero():
     # raise DoublePoleInSimpleBranch there and not PoleAtTheta
     noisy = _noisy_evaluator(2, seed=47)
     evaluator = StabilizedEvaluator(
-        basis=noisy.basis, coefficients=noisy.coefficients, cluster_threshold=1e-13
+        basis=noisy.basis, build_operator=noisy.build_operator, cluster_threshold=1e-13
     )
     alpha, theta = math.pi / 2.0 + 4e-13, math.pi / 2.0
     with pytest.raises(DoublePoleInSimpleBranch):
