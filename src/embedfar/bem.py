@@ -446,13 +446,12 @@ class FarField:
 
     modes holds the Jacobi-Anger coefficients c_-N..c_N about centre, (2N+1,)
     for one solve or (2N+1, n) for n solves sharing the quadrature, and
-    numbers the mode numbers -N..N.  value()
-    accepts real or complex observation angles and returns shape(theta),
-    plus (n,) for stacked solves, as product(rows(theta)), rows @ modes,
-    where a row is e^{in theta} P(theta) mult with P the centre's phase and
-    mult the exact derivative multiplier; rows_through() gives the rows of
-    the orders 0..order from one exp, and derivatives() their values from
-    one product.  A single solve's product is elementwise and
+    numbers the mode numbers -N..N.  value() accepts real or complex
+    observation angles and returns shape(theta), plus (n,) for stacked
+    solves, as product(rows(theta)), rows @ modes, where a row is
+    e^{in theta} P(theta) mult with P the centre's phase and mult the exact
+    derivative multiplier; rows_through() gives the rows of the orders
+    0..order from one exp.  A single solve's product is elementwise and
     uses no BLAS, so that reading one far field, as reports and canonical
     columns do, never wakes numpy's worker threads beside scipy's, which
     still spin after a set-up or a solve.  A stacked product of threaded
@@ -516,15 +515,6 @@ class FarField:
         values = self.product(self.rows(theta, order))
         # [()] turns the 0-d result of a scalar theta into a scalar
         return values.reshape(np.shape(theta) + self.modes.shape[1:])[()]
-
-    def derivatives(self, theta, order):
-        """value(theta, j) for j = 0..order, stacked with shape
-        (order + 1,) + shape(theta) + modes.shape[1:]: one exp over the
-        modes and one product for all orders."""
-        rows = self.rows_through(theta, order)
-        values = self.product(np.concatenate(rows) if order else rows[0])
-        shape = (order + 1,) + np.shape(theta) + self.modes.shape[1:]
-        return values.reshape(shape)
 
     def rows_through(self, theta, order):
         """[rows(theta, j) for j = 0..order] from one exp.  Real angles

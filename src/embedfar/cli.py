@@ -44,10 +44,10 @@ from .embedding import (
     EmbeddingBasis,
     PoleOnContour,
     StabilizedEvaluator,
+    cluster_threshold_range,
     lambda_weight,
     naive_eval,
     pole_set,
-    smallest_cluster_threshold,
 )
 from .geometry import (
     PRESET_NAMES,
@@ -285,20 +285,22 @@ def _canonical_count(config, shape):
     return mtilde
 
 
-def _check_double_zero_clearance(config, shape):
-    """grid and table evaluate alpha = 0, where every zero of Lambda is
-    double; a cluster threshold too small for a contour round one to clear
-    contour_eval's guard would fail only after every solve."""
-    bound = smallest_cluster_threshold(shape.p)
-    if config.small_h < bound:
+def _check_cluster_threshold(config, shape):
+    """small_h within embedding.cluster_threshold_range for shape's p:
+    outside it a contour meets its guard, or loses accuracy to a zero
+    beside it, only after every solve."""
+    least, greatest = cluster_threshold_range(shape.p)
+    if not least <= config.small_h <= greatest:
         raise ConfigError(
-            f"small_h {config.small_h:g} is below {bound:.3g}, the least "
-            f"clearance of a contour round a double zero for p = {shape.p}"
+            f"small_h {config.small_h:g} lies outside [{least:.3g}, "
+            f"{greatest:.3g}], the admissible cluster thresholds for "
+            f"p = {shape.p}"
         )
 
 
 def build_pipeline(config, canonical=None):
     shape = load_shape(config)
+    _check_cluster_threshold(config, shape)
     if canonical is None:
         canonical = canonical_angles(_canonical_count(config, shape))
     system = _bem_system(config, shape)
@@ -497,7 +499,6 @@ def cmd_sweep(config):
 
 def cmd_grid(config):
     start = time.perf_counter()
-    _check_double_zero_clearance(config, load_shape(config))
     pipeline = build_pipeline(config)
     thetas = _circle_grid(config.n_theta)
     alphas = _circle_grid(config.n_alpha)
@@ -616,6 +617,8 @@ def cmd_oversampling_study(config, mtilde_list, delta_list):
          [(a, np.mod(a + np.arange(tri_m) * math.pi / 6.0, 2.0 * math.pi))
           for a in _TRIANGLE_OFFSETS]),
     ]
+    for _, shape_name, _, _ in studies:
+        _check_cluster_threshold(config, preset_shape(shape_name))
     for part, shape_name, k, angle_sets in studies:
         study_config = replace(config, shape=shape_name, geometry_file=None, k=k)
         ref = None
@@ -682,7 +685,7 @@ def cmd_table(config, k_list, shape_list, epw_list):
     for trials in problems:
         shape = load_shape(trials[0])
         _canonical_count(trials[0], shape)
-        _check_double_zero_clearance(trials[0], shape)
+        _check_cluster_threshold(trials[0], shape)
     alphas = _circle_grid(config.n_alpha)
     rows = []
     for trials in problems:
@@ -756,14 +759,21 @@ def cmd_selftest(config):
     checks.append(("screen pipeline error < 0.1", e_out < 0.1))
 
     # the one-point path against the sweep at a naive point, midway between
-    # the two zeros, and at a point within small_h of a zero
+    # the two zeros, at a point between small_h and big_h of a zero, where a
+    # residue corrects the quotient, and at a point within small_h of it
     evaluator, zeros = pipeline.evaluator, pole_set(2.0, pipeline.shape.p)
-    naive, near = 0.5 * float(zeros[0] + zeros[1]), zeros[0] + 0.5 * tiny.small_h
-    thetas = np.concatenate([_circle_grid(200), [naive, near]])
+    naive = 0.5 * float(zeros[0] + zeros[1])
+    residue = zeros[0] + 0.5 * (tiny.small_h + tiny.big_h)
+    near = zeros[0] + 0.5 * tiny.small_h
+    thetas = np.concatenate([_circle_grid(200), [naive, residue, near]])
     values, labels = evaluator.evaluate_sweep(thetas, 2.0)
     peak = float(np.max(np.abs(values)))
-    agree = labels[-2] == "naive" and labels[-1] != "naive"
-    for i in (-2, -1):
+    agree = (
+        labels[-3] == "naive"
+        and labels[-2].startswith("residue")
+        and labels[-1].startswith("contour")
+    )
+    for i in (-3, -2, -1):
         value, label = evaluator.evaluate_with_branch(thetas[i], 2.0)
         agree &= label == labels[i] and abs(value - values[i]) <= 1e-12 * peak
     checks.append(("one-point path matches the sweep", agree))

@@ -150,12 +150,13 @@ class EmbeddingBasis:
     far_fields is one stacked operator: far_fields.value(theta, order)
     returns D^(order)(theta, angles[m]) with shape shape(theta) + (m,) for
     real or complex theta and orders 0..2, and equals
-    far_fields.rows(theta, order) @ far_fields.modes (bem.FarField does);
-    far_fields.derivatives(theta, order) stacks value(theta, j) for
-    j = 0..order.  hat = far_fields.weighted(p, offset) is the same kind of
-    operator for hat_D(theta, angles[m]) = Lambda(theta, angles[m])
-    D(theta, angles[m]), built once: Lambda is cos(p theta) plus a
-    constant per column, and a cosine shifts the modes.
+    far_fields.product(far_fields.rows(theta, order)), rows @ modes
+    (bem.FarField does); far_fields.rows_through(theta, order) lists the
+    rows of the orders 0..order.  hat = far_fields.weighted(p, offset) is
+    the same kind of operator for hat_D(theta, angles[m]) =
+    Lambda(theta, angles[m]) D(theta, angles[m]), built once: Lambda is
+    cos(p theta) plus a constant per column, and a cosine shifts the
+    modes.
     """
 
     p: int
@@ -210,20 +211,6 @@ def _residue_term(p, numerator_at_chi, chi, theta):
     return numerator_at_chi / (p * (chi - theta) * s)
 
 
-def _residue_terms(p, numerator_at_chi, chi, theta):
-    """_residue_term on arrays of zeros chi and angles theta."""
-    s = np.sin(p * chi)
-    if np.any(np.abs(s) <= 1e-12):
-        raise DoublePoleInSimpleBranch(
-            "a zero is double; residue formula invalid"
-        )
-    return numerator_at_chi / (p * (chi - theta) * s)
-
-
-# the residue labels by whether theta0' is corrected for too
-_RESIDUE_LABELS = np.array(["residue:single", "residue:two"], dtype=object)
-
-
 @dataclass(frozen=True)
 class RectContour:
     """Axis-aligned rectangle around a set of real points.  Its fields may
@@ -275,12 +262,15 @@ def rect_contour(points, clearance):
     )
 
 
-def smallest_cluster_threshold(p):
-    """The least cluster threshold h whose rectangles round a double zero
-    of Lambda clear contour_eval's guard.  There |Lambda(z)| is at least
-    p^2 h^2 / 2 on a rectangle at clearance h and |z - theta| at least h,
-    so the denominator is at least p^2 h^3 / 2."""
-    return (2.0 * _CONTOUR_GUARD / p**2) ** (1.0 / 3.0)
+def cluster_threshold_range(p):
+    """The least and the greatest admissible cluster threshold h for the
+    angle parameter p.  Round a double zero of Lambda, |Lambda(z)| is at
+    least p^2 h^2 / 2 on a rectangle at clearance h and |z - theta| at
+    least h, so the denominator is at least p^2 h^3 / 2 and clears
+    contour_eval's guard from the least h on.  Zeros can sit pi / p apart
+    and a rectangle reaches 2 h past theta0, so a zero it leaves outside
+    keeps the clearance h from every edge only while h <= pi / (3 p)."""
+    return (2.0 * _CONTOUR_GUARD / p**2) ** (1.0 / 3.0), math.pi / (3 * p)
 
 
 def contour_eval(numerator_fn, theta, alpha, p, contour, order=DEFAULT_CONTOUR_ORDER):
@@ -390,9 +380,9 @@ class StabilizedEvaluator:
         zeros through the derivative order the point's quadratic fit needs.
         The row at alpha times K gives the coefficients, and the others
         times the modes of basis.hat, in one product, the numerator.  A
-        near point takes its branch by the rules a sweep's contour points
-        follow and integrates its one rectangle with the integrator a sweep
-        gives all of its rectangles.  The kept grid is left alone."""
+        near point takes its branch by the rules every near point of a
+        sweep follows and integrates its one rectangle with the integrator
+        a sweep gives all of its rectangles.  The kept grid is left alone."""
         theta, alpha = float(theta), float(alpha)
         if not (math.isfinite(theta) and math.isfinite(alpha)):
             raise ValueError(
@@ -433,11 +423,9 @@ class StabilizedEvaluator:
 
         The weighted canonical patterns on the grid do not depend on alpha
         and are reused while the grid's values stay the same.  The naive
-        quotient, the cut for points within big_h of a zero, the numerator
-        at the zeros the near points use (one far-field call per derivative
-        order) and the residue branches run on arrays.  The few remaining
-        near points take their branch in Python by the one-point rules, and
-        the rectangles of all contour points are integrated in one call.
+        quotient and the cut for points within big_h of a zero run on
+        arrays; the near points take their branch by the one-point rules
+        (_near_sweep).
         """
         thetas, alpha = np.asarray(thetas, dtype=np.float64), float(alpha)
         if not (math.isfinite(alpha) and np.isfinite(thetas).all()):
@@ -461,10 +449,11 @@ class StabilizedEvaluator:
         far = np.ones(n, dtype=bool)
         far[index] = False
         np.divide(at_theta, lam, out=values, where=far)
-        values[index], labels[index] = self._near_sweep(
+        values[index], near_labels = self._near_sweep(
             alpha, b, *near, at_theta[index], lam[index]
         )
-        self.branch_counts.update(labels[index].tolist())
+        labels[index] = near_labels
+        self.branch_counts.update(near_labels)
         return values, labels
 
     # internal helpers ---------------------------------------------------
@@ -498,52 +487,35 @@ class StabilizedEvaluator:
         return tuple(c[near] for c in (index, theta, th0, th1))
 
     def _near_sweep(self, alpha, b, theta, th0, th1, at_theta, lam):
-        """Values and labels of a sweep's points within big_h of a zero:
-        the zeros they use and the residue branches on arrays, every other
-        point by _near_value, and one contour_eval call for all of their
+        """Values and labels of a sweep's points within big_h of a zero,
+        each by _near_value, the rules a one-point query follows.  One row
+        evaluation gives the numerator at every zero any of the points can
+        read, through the highest derivative order any of their fits
+        needs, and one contour_eval call integrates all of their
         rectangles."""
-        p = self.basis.p
-        big_h, small_h = self.near_threshold, self.cluster_threshold
-        # _zeros_used on arrays: the numerator at every zero a point reads,
-        # through the highest derivative order any point needs
-        d0, d01 = np.abs(theta - th0), np.abs(th0 - th1)
-        uses_th1 = (d01 > 0.0) & ((d0 < small_h) | (d01 < big_h))
-        hits, confluent = d0 <= _CONFLUENT, d01 <= _CONFLUENT
+        hits = np.abs(theta - th0) <= _CONFLUENT
+        confluent = np.abs(th0 - th1) <= _CONFLUENT
         order = int((hits | confluent).any()) + int((hits & confluent).any())
-        used = np.concatenate([th0, th1[uses_th1]])
-        zeros = np.unique(used)
-        rows = zeros.searchsorted(used)
-        at_zeros = _weigh(self.basis.hat.derivatives(zeros, order), b)
-        m = len(theta)
-        at_th0 = at_zeros[:, rows[:m]]
-        at_th1 = np.zeros(m, dtype=np.complex128)
-        at_th1[uses_th1] = at_zeros[0, rows[m:]]
-        values = np.empty(m, dtype=np.complex128)
-        labels = np.empty(m, dtype=object)
-
-        residue = (d0 >= small_h) & (d01 >= small_h)
-        r = residue.nonzero()[0]
-        if len(r):
-            # the residue check first: beside a double zero it raises
-            # before a Lambda that rounds to zero divides
-            value = -_residue_terms(p, at_th0[0, r], th0[r], theta[r])
-            value += at_theta[r] / lam[r]
-            two = d01[r] < big_h
-            pair = r[two]
-            value[two] -= _residue_terms(p, at_th1[pair], th1[pair], theta[pair])
-            values[r] = value
-            labels[r] = _RESIDUE_LABELS[two.astype(np.intp)]
-
-        rest = (~residue).nonzero()[0]
-        columns = (theta, th0, th1, at_theta, lam, at_th0.T, at_th1)
-        integrands = []
-        for j, *point in zip(rest.tolist(), *(c[rest].tolist() for c in columns)):
-            values[j], labels[j], integrand = self._near_value(*point)
-            if integrand is not None:
-                integrands.append((j, point[0], *integrand))
-        if integrands:
-            index, *integrands = zip(*integrands)
-            values[list(index)] += self._contour_pass(alpha, *integrands)
+        th0, th1 = th0.tolist(), th1.tolist()
+        zeros = sorted(set(th0 + th1))
+        hat = self.basis.hat
+        at = _weigh(hat.product(np.concatenate(hat.rows_through(zeros, order))), b)
+        # each zero's numerator and its derivatives through order
+        at_zeros = dict(zip(zeros, at.reshape(order + 1, -1).T.tolist()))
+        theta, near_value = theta.tolist(), self._near_value
+        values, labels, integrands = zip(*[
+            near_value(t, t0, t1, at_t, lam_t, at_zeros[t0], at_zeros[t1][0])
+            for t, t0, t1, at_t, lam_t
+            in zip(theta, th0, th1, at_theta.tolist(), lam.tolist())
+        ])
+        values = np.array(values, dtype=np.complex128)
+        contours = [
+            (j, theta[j], *integrand)
+            for j, integrand in enumerate(integrands) if integrand is not None
+        ]
+        if contours:
+            index, *contours = zip(*contours)
+            values[list(index)] += self._contour_pass(alpha, *contours)
         return values, labels
 
     def _contour_pass(self, alpha, thetas, contours, fits):
@@ -575,13 +547,13 @@ class StabilizedEvaluator:
     def _near_value(self, theta, th0, th1, at_theta, lam, at_th0, at_th1):
         """Branch of a point within big_h of a zero, from the numerator at
         theta, theta0 and theta0' (at_th0 also holds the derivatives the
-        point needs) and Lambda at theta: (value, label, integrand).  The
+        point needs; at_th1 may be None where the rule does not read it)
+        and Lambda at theta: (value, label, integrand).  The
         integrand is None, or the (rectangle, quadratic fit) whose contour
         integral about theta (contour_eval) adds to value.  A double zero
         is a clustered pair at distance zero; on it the contour integral is
         the regular part (N'' + p^2 N / 6) / Lambda'' by the residue
-        theorem.  A sweep takes its residue points to _near_sweep's array
-        form of these rules."""
+        theorem."""
         p = self.basis.p
         big_h, small_h = self.near_threshold, self.cluster_threshold
         d0, d01 = abs(theta - th0), abs(th0 - th1)

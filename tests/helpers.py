@@ -72,14 +72,14 @@ class TrigFarField:
 class TrigFarFields:
     """Several TrigFarField patterns behind the stacked surface of
     bem.FarField: value(theta, order) has shape shape(theta) + (n,), and
-    len() and [m] give the patterns one at a time, and derivatives(theta,
-    order) stacks value(theta, j) for j = 0..order, and weighted(p,
-    offset) gives the Lambda-weighted patterns.  modes holds the
-    Fourier coefficients c_-N..c_N of each pattern, (2N+1, n), and
-    rows(theta, order) the (size(theta), 2N+1) matrix (in)^order
-    e^{in theta}; value is product(rows), rows @ modes summed elementwise
-    so that each row's digits do not depend on the number of rows, and
-    rows_through(theta, order) lists the rows of the orders 0..order."""
+    len() and [m] give the patterns one at a time, and weighted(p, offset)
+    gives the Lambda-weighted patterns.  modes holds the Fourier
+    coefficients c_-N..c_N of each pattern, (2N+1, n), and rows(theta,
+    order) the (size(theta), 2N+1) matrix (in)^order e^{in theta}; value is
+    product(rows), rows @ modes summed elementwise so that each row's
+    digits do not depend on the number of rows.  rows_through(theta,
+    order) lists the rows of the orders 0..order from one exp, and rows and
+    value read it, as in bem.FarField."""
 
     def __init__(self, fields):
         self.fields = list(fields)
@@ -92,11 +92,12 @@ class TrigFarFields:
         )
 
     def rows(self, theta, order=0):
-        t = np.asarray(theta, dtype=np.complex128).reshape(-1, 1)
-        return (1j * self.numbers) ** order * np.exp(1j * self.numbers * t)
+        return self.rows_through(theta, order)[order]
 
     def rows_through(self, theta, order):
-        return [self.rows(theta, j) for j in range(order + 1)]
+        t = np.asarray(theta, dtype=np.complex128).reshape(-1, 1)
+        row = np.exp(1j * self.numbers * t)
+        return [(1j * self.numbers) ** j * row for j in range(order + 1)]
 
     def product(self, rows):
         return (rows[:, :, None] * self.modes).sum(axis=1)
@@ -110,9 +111,6 @@ class TrigFarFields:
     def value(self, theta, order=0):
         values = self.product(self.rows(theta, order))
         return values.reshape(np.shape(theta) + (len(self.fields),))
-
-    def derivatives(self, theta, order):
-        return np.stack([self.value(theta, j) for j in range(order + 1)])
 
     def weighted(self, p, offset):
         """The patterns times Lambda = cos(p theta) + offset[m], as

@@ -241,7 +241,7 @@ def test_weighted_far_field_is_the_product_rule(square_k5, p):
         hat = ff.weighted(p, offset)
         assert hat.degree == ff.degree + p
         assert np.array_equal(hat.centre, ff.centre)
-        d = ff.derivatives(thetas, 2)
+        d = [ff.value(thetas, j) for j in range(3)]
         p_theta = p * (thetas[..., None] if ff.modes.ndim == 2 else thetas)
         cos, sin = np.cos(p_theta), np.sin(p_theta)
         weight = cos + offset
@@ -289,28 +289,6 @@ def test_single_far_field_values_do_not_depend_on_theta_count(name, k):
         assert np.array_equal(fields[j].value(thetas[:7]), values[:7])
         for i in range(0, len(thetas), 37):
             assert complex(fields[j].value(float(thetas[i]))) == complex(values[i])
-
-
-def test_far_field_derivatives_stack_every_order():
-    # derivatives() makes one exp and one product for the orders 0..order;
-    # each slice reads value() of its order, bit for bit while both
-    # products stay below the threading cut and have several rows (numpy
-    # takes one row as a matrix-vector product, which rounds differently)
-    system = build_system(preset_shape("pentagon"), 10.0)
-    fields = system.solve_far_fields(np.linspace(0.1, 6.0, 45))
-    below = bem._THREADED_GEMM // fields.modes.size
-    grid = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False)
-    square = np.array([[0.1, 0.2], [3.0, 0.4 + 0.02j]])
-    for theta in (0.7, np.array([0.7]), grid[:below // 3], grid, square):
-        for order in (0, 1, 2):
-            stacked = fields.derivatives(theta, order)
-            assert stacked.shape == (order + 1,) + np.shape(theta) + (45,)
-            for j in range(order + 1):
-                want = fields.value(theta, j)
-                if 1 < np.size(theta) <= below // (order + 1):
-                    assert np.array_equal(stacked[j], want)
-                scale = float(np.max(np.abs(want)))
-                assert float(np.max(np.abs(stacked[j] - want))) <= 1e-14 * scale
 
 
 def test_far_field_rows_of_one_real_angle(square_k5):

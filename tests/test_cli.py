@@ -28,8 +28,8 @@ from embedfar.cli import (
     write_csv,
 )
 from embedfar.coefficients import NoConvergence
-from embedfar.embedding import StabilizedEvaluator
-from embedfar.geometry import MAX_ANGLE_DENOMINATOR
+from embedfar.embedding import StabilizedEvaluator, cluster_threshold_range
+from embedfar.geometry import MAX_ANGLE_DENOMINATOR, PRESET_NAMES, preset_shape
 from helpers import BRANCH_LABELS
 
 
@@ -353,6 +353,55 @@ def test_cluster_threshold_below_double_zero_clearance_is_config_error(
     assert "config error" in err and bound in err
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_cluster_threshold_range_of_every_preset(name):
+    # one step inside either bound passes the check, one step outside is a
+    # config error; the greatest keeps a zero pi / p away at a clearance
+    # from a rectangle that reaches 2 h past theta0
+    shape = preset_shape(name)
+    least, greatest = cluster_threshold_range(shape.p)
+    assert greatest == math.pi / (3 * shape.p)
+    steps = [
+        (np.nextafter(least, math.inf), True),
+        (np.nextafter(least, 0.0), False),
+        (np.nextafter(greatest, 0.0), True),
+        (np.nextafter(greatest, math.inf), False),
+    ]
+    for small_h, admissible in steps:
+        config = ExperimentConfig(shape=name, big_h=2.0, small_h=float(small_h))
+        config.validate()
+        if admissible:
+            cli._check_cluster_threshold(config, shape)
+        else:
+            with pytest.raises(ConfigError, match="admissible cluster"):
+                cli._check_cluster_threshold(config, shape)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--shape", "pentagon", "--k", "5", "--big-h", "1",
+         "--small-h", "0.35"],
+        ["grid", "--shape", "pentagon", "--big-h", "1", "--small-h", "0.35"],
+        ["table", "--shape-list", "square,pentagon", "--big-h", "1",
+         "--small-h", "0.35"],
+        ["study-oversampling", "--big-h", "1", "--small-h", "0.5"],
+        ["selftest", "--big-h", "2", "--small-h", "1.1"],
+    ],
+)
+def test_cluster_threshold_above_range_exits_2_before_the_mesh(
+    argv, no_solver, capsys
+):
+    # above pi / (3 p) a contour loses accuracy to the zero beside it: the
+    # pentagon's sweep at small_h 0.35 read an output error 849 times its
+    # input error, and exited 0.  The square takes 0.35 in table, the
+    # screen 0.5 in the study; the pentagon and the equilateral triangle
+    # stop them before the first solve
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "admissible cluster thresholds" in err
+
+
 @pytest.mark.parametrize(
     "line", ["bem.layers = 0", "embedding.contour_order = 500"]
 )
@@ -532,17 +581,21 @@ def _run_module(*argv):
     )
 
 
-def test_clearance_below_rounding_exits_3(tmp_path):
-    # alpha = pi/2 + 4e-13 splits the square's double zero at pi/2 into a
-    # pair 8e-13 apart, wider than a 1e-13 cluster threshold, so the
-    # residue formula meets a zero that is double within rounding
-    proc = _run_module(
-        "sweep", "--shape", "square", "--k", "5", "--small-h", "1e-13",
-        "--alpha", "1.5707963267952966", "--out", str(tmp_path / "sweep.csv"),
-    )
-    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
-    assert proc.stderr.startswith("numerical failure")
-    assert "Traceback" not in proc.stderr
+def test_clearance_below_rounding_exits_2_before_the_mesh(
+    tmp_path, no_solver, capsys
+):
+    # a 1e-13 cluster threshold would split the square's double zero at
+    # pi / 2 at alpha = pi/2 + 4e-13 into a pair 8e-13 apart and send it to
+    # the residue formula; it lies below the least admissible threshold, so
+    # every alpha stops before the mesh
+    for alpha in ("1.5707963267952966", "0"):
+        argv = [
+            "sweep", "--shape", "square", "--k", "5", "--small-h", "1e-13",
+            "--alpha", alpha, "--out", str(tmp_path / "sweep.csv"),
+        ]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "7.94e-05" in err
 
 
 def test_every_package_exception_has_an_exit_code(monkeypatch):

@@ -833,18 +833,16 @@ def test_query_matches_oracle_on_the_queries_workload():
 
 
 def test_far_field_calls_per_sweep():
+    # a sweep reads the weighted patterns through one row evaluation each
+    # for the row at alpha, the grid when it is new, and the numerator at
+    # every zero its near points can read, through every order they need
     p = 3
     sizes = []
 
     class Counting(TrigFarFields):
-        def value(self, theta, order=0):
+        def rows_through(self, theta, order):
             sizes.append(np.size(theta))
-            return super().value(theta, order)
-
-        def derivatives(self, theta, order):
-            sizes.append(np.size(theta))
-            value = super().value  # the orders of one call count once
-            return np.stack([value(theta, j) for j in range(order + 1)])
+            return super().rows_through(theta, order)
 
     evaluator = _noisy_evaluator(p, seed=45, fields_type=Counting)
     grid = np.linspace(0.0, TWO_PI, 120, endpoint=False)
@@ -858,11 +856,11 @@ def test_far_field_calls_per_sweep():
     assert len(grid_calls) == 1
     for calls in per_sweep:
         further = [n for n in calls if n != len(grid)]
-        # one call for every derivative order on the zeros the near points
-        # use; a zero near theta = 0 = 2 pi can enter through two
-        # representatives 2 pi apart
-        assert len(further) == 1
-        assert further[0] <= 2 * p + 2
+        # the row at alpha for b, then the zeros; a zero near
+        # theta = 0 = 2 pi can enter through two representatives 2 pi apart
+        assert len(further) == 2
+        assert further[0] == 1
+        assert further[1] <= 2 * p + 2
 
     edited = grid.copy()
     edited += 0.01
@@ -972,15 +970,20 @@ def test_branch_counts_tally_every_returned_label():
     assert dict(evaluator.branch_counts) == dict(returned)
 
 
-@pytest.mark.parametrize("shape", PRESET_NAMES)
-def test_sweep_matches_points_on_bem_pipelines(shape):
+@pytest.mark.parametrize(
+    "shape, k",
+    [pytest.param(name, 5.0, id=name) for name in PRESET_NAMES]
+    + [pytest.param(name, 10.0, id=f"{name}-k10") for name in ("square", "pentagon")],
+)
+def test_sweep_matches_points_on_bem_pipelines(shape, k):
     # the far fields of a real solve, not a Fourier family: the one-point
-    # path and the sweep read them through different array shapes.  At
+    # path and the sweep read them through different array shapes, at
+    # k = 5 and at the benchmark's k = 10.  At
     # alpha = 0 and pi / p every zero is double, and on one the contour
     # integral is the regular part (N'' + p^2 N / 6) / Lambda'' of N / Lambda.
     # alpha = 0.5 leaves the zeros isolated for every preset (2.1 clusters
     # the equilateral triangle's)
-    pipeline = build_pipeline(ExperimentConfig(shape=shape, k=5.0))
+    pipeline = build_pipeline(ExperimentConfig(shape=shape, k=k))
     evaluator, p = pipeline.evaluator, pipeline.shape.p
     grid = np.linspace(0.0, TWO_PI, 120, endpoint=False)
     seen = set()
