@@ -219,28 +219,40 @@ def _bessel_j(x, degree):
     return out
 
 
-def _mode_transform(nodes, k):
-    """Centre c of the nodes' bounding box and the (N + 1, q) matrix
-    J_n(k r_j) exp(i n phi_j), n = 0..N, with (r_j, phi_j) the polar
-    coordinates of node j about c and N = _mode_degree(k max r)."""
-    centre = 0.5 * (np.min(nodes, axis=0) + np.max(nodes, axis=0))
-    rel = nodes - centre
+def _mode_transform(nodes, weights, k):
+    """Centre c of the nodes' bounding box and the (N + 1, n_elements)
+    matrix sum_j w_j J_n(k r_j) exp(i n phi_j), n = 0..N, with the sum over
+    each element's quadrature nodes j, (r_j, phi_j) their polar coordinates
+    about c and N = _mode_degree(k max r); nodes are (n_elements, q, 2) and
+    weights (n_elements, q).  The weights fold in once per system, so a
+    solve's modes are products with its densities alone."""
+    n_elements, q = weights.shape
+    # node j of every element side by side: the sum over an element's
+    # nodes then adds whole rows
+    flat = nodes.transpose(1, 0, 2).reshape(-1, 2)
+    centre = 0.5 * (np.min(flat, axis=0) + np.max(flat, axis=0))
+    rel = flat - centre
     r = np.hypot(rel[:, 0], rel[:, 1])
     degree = _mode_degree(k * float(np.max(r)))
-    turns = np.empty((degree + 1, len(nodes)), dtype=np.complex128)
+    turns = np.empty((degree + 1, len(flat)), dtype=np.complex128)
     turns[0] = 1.0
     turns[1:] = np.exp(1j * np.arctan2(rel[:, 1], rel[:, 0]))
     np.cumprod(turns, axis=0, out=turns)
-    return centre, _bessel_j(k * r, degree) * turns
+    weighted = _bessel_j(k * r, degree)
+    weighted *= weights.T.ravel()
+    turns *= weighted
+    return centre, turns.reshape(degree + 1, q, n_elements).sum(axis=1)
 
 
 @dataclass
 class BemSystem:
     """Assembled and factorized collocation system for one (shape, k).
 
-    Solves see the far-field quadrature only through ff_weights, ff_centre
-    and ff_transform (see _mode_transform), from which every solve's
-    far-field modes are two products; ff_nodes keeps the nodes themselves.
+    Solves see the far-field quadrature only through ff_centre and
+    ff_transform (see _mode_transform), which holds the quadrature weights
+    already, so every solve's far-field modes are two products with its
+    densities; ff_nodes and ff_weights keep the quadrature itself, for the
+    node form of the far field.
     The refinement products and the mode products run through scipy's
     BLAS, the library behind lu_solve: numpy and scipy may link different
     OpenBLAS builds, and each switch between the two on a threaded-size
@@ -255,7 +267,7 @@ class BemSystem:
     ff_nodes: np.ndarray  # (n_elements, q, 2) far-field quadrature points
     ff_weights: np.ndarray  # (n_elements, q)
     ff_centre: np.ndarray  # (2,) expansion centre of the far-field modes
-    ff_transform: np.ndarray  # (N + 1, n_elements * q)
+    ff_transform: np.ndarray  # (N + 1, n_elements) T, C-ordered: .T is Fortran
 
     def incident(self, alphas, points=None):
         """Plane-wave trace exp(-ik(x1 cos a + x2 sin a)) at collocation
@@ -295,15 +307,12 @@ class BemSystem:
         """Stacked FarField of the solves for the given incident angles;
         column m belongs to alphas[m]."""
         alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
-        n_elements, q = self.ff_weights.shape
         densities = self.solve_density(alphas)
-        wphi = self.ff_weights[:, :, None] * densities[:, None, :]
-        wphi = wphi.reshape(n_elements * q, len(alphas))
-        # c_n and c_-n, n >= 0: -1/2 (-i)^n sum_j J_n(k r_j) e^{-+i n phi_j} wphi_j
+        # c_n and c_-n, n >= 0: -1/2 (-i)^n (conj(T) phi)_n and (T phi)_n
         transform = self.ff_transform.T  # Fortran-ordered view
         scale = -0.5 * _POWERS_OF_MINUS_I[np.arange(len(self.ff_transform)) % 4]
-        positive = scale[:, None] * zgemm(1.0, transform, wphi, trans_a=2)
-        negative = scale[1:, None] * zgemm(1.0, transform, wphi, trans_a=1)[1:]
+        positive = scale[:, None] * zgemm(1.0, transform, densities, trans_a=2)
+        negative = scale[1:, None] * zgemm(1.0, transform, densities, trans_a=1)[1:]
         return FarField(
             k=self.k,
             centre=self.ff_centre,
@@ -311,14 +320,23 @@ class BemSystem:
         )
 
 
-def rotation_order(mesh):
-    """Largest divisor E of the element count such that turning the mesh
-    by 2 pi / E about its centre maps element i onto element i + n / E,
-    endpoints within 1e-12 of the mesh radius; 1 when no turn does.
+def symmetry(mesh):
+    """(E, mirrored): the symmetries of the mesh that its far part reads,
+    each checked on the element end points within 1e-12 of the mesh radius.
 
-    The centre is the mean of the element starts, which a symmetric mesh
-    leaves fixed.  Regular polygons read their edge count; other shapes,
-    screens and meshes off symmetry by more than the tolerance read 1.
+    E is the rotation order: the largest divisor of the element count n
+    such that turning the mesh by 2 pi / E about its centre maps element i
+    onto element i + n / E; 1 when no turn does.  The centre is the mean
+    of the element starts, which a symmetric mesh leaves fixed.  Regular
+    polygons read their edge count; other shapes, screens and meshes off
+    symmetry by more than the tolerance read 1.
+
+    mirrored tells whether the reflection across the perpendicular bisector
+    of the first block, elements 0 .. n/E - 1, maps each element j onto
+    element (n/E - 1 - j) mod n, its start onto that element's end.  Regular
+    polygons (the block is one edge) and screens (the whole mesh) read
+    True; a block that closes on itself has no chord to bisect and reads
+    False.
     """
     n = len(mesh)
     centre = np.mean(mesh.starts, axis=0)
@@ -334,8 +352,25 @@ def rotation_order(mesh):
             np.max(np.abs(x @ rot - np.roll(x, -(n // order), axis=0))) <= tol
             for x in (starts, ends)
         ):
-            return order
-    return 1
+            break
+    else:
+        order = 1
+    rows = n // order
+    chord = ends[rows - 1] - starts[0]
+    length = math.hypot(*chord)
+    if length <= tol:
+        return order, False
+    unit, middle = chord / length, 0.5 * (starts[0] + ends[rows - 1])
+
+    def reflect(x):
+        return x - 2.0 * ((x - middle) @ unit)[:, None] * unit
+
+    image = (rows - 1 - np.arange(n)) % n
+    mirrored = all(
+        np.max(np.abs(reflect(x) - y[image])) <= tol
+        for x, y in ((starts, ends), (ends, starts))
+    )
+    return order, mirrored
 
 
 def _near_pairs(mesh):
@@ -360,9 +395,11 @@ def _near_pairs(mesh):
 def assemble(mesh, k):
     """Collocation matrix, its LU factorization, and far-field quadrature.
 
-    On a mesh of rotation order E (see rotation_order) the far part is
-    computed for the first n / E rows and rolled into the other row blocks;
-    near and self entries are computed per pair in every row.
+    On a mesh of rotation order E (see symmetry) the far part is computed
+    for the first n / E rows and rolled into the other row blocks; on a
+    mirrored mesh only the first half of those rows is computed, and the
+    reflection fills the others.  Near and self entries are computed per
+    pair in every row.
     """
     n = len(mesh)
     max_len = float(np.max(mesh.lengths))
@@ -381,13 +418,15 @@ def assemble(mesh, k):
     targets = mesh.midpoints
 
     # a turn of the mesh by 2 pi / E shifts rows and columns by n / E
-    # elements together, so the far part is block-circulant
-    order = rotation_order(mesh)
+    # elements together, so the far part is block-circulant; the mirror
+    # maps row i of the first block onto row n / E - 1 - i
+    order, mirrored = symmetry(mesh)
     rows = n // order
+    computed = (rows + 1) // 2 if mirrored else rows
     matrix = np.empty((n, n), dtype=np.complex128)
     chunk = max(1, _ASSEMBLY_CHUNK // flat_nodes.shape[0])
-    for lo in range(0, rows, chunk):
-        hi = min(rows, lo + chunk)
+    for lo in range(0, computed, chunk):
+        hi = min(computed, lo + chunk)
         # distances rounded as np.linalg.norm rounds them, without its
         # (targets, nodes, 2) temporary
         r = np.sqrt(
@@ -400,6 +439,10 @@ def assemble(mesh, k):
         del r
         kernel *= 0.25j * flat_weights
         matrix[lo:hi] = kernel.reshape(hi - lo, n, order_far).sum(axis=2)
+    if mirrored:
+        image = (rows - 1 - np.arange(n)) % n
+        half = rows // 2
+        matrix[rows - half:rows] = matrix[:half, image][::-1]
     block_row = matrix[:rows].reshape(rows, order, rows)
     row_blocks = matrix.reshape(order, rows, order, rows)
     for e in range(1, order):
@@ -412,10 +455,15 @@ def assemble(mesh, k):
     near_i, near_j = _near_pairs(mesh)
     starts = mesh.starts[near_j]
     lengths = mesh.lengths[near_j]
-    nodes = starts[:, None, :] + near_params[None, :, None] * (
-        mesh.ends[near_j] - starts
-    )[:, None, :]
-    r = np.linalg.norm(targets[near_i, None, :] - nodes, axis=2)
+    steps = mesh.ends[near_j] - starts
+    # node by node as np.linalg.norm(targets - nodes, axis=2) rounds it,
+    # without the (pairs, nodes, 2) temporaries
+    x = starts[:, 0, None] + near_params * steps[:, 0, None]
+    y = starts[:, 1, None] + near_params * steps[:, 1, None]
+    r = np.sqrt(
+        np.square(targets[near_i, 0, None] - x)
+        + np.square(targets[near_i, 1, None] - y)
+    )
     weights = 0.5 * near_w[None, :] * lengths[:, None]
     smooth = np.sum(weights * _smooth_kernel_part(k, r), axis=1)
     log_part = _log_integrals(targets[near_i], starts, mesh.tangents[near_j], lengths)
@@ -426,8 +474,9 @@ def assemble(mesh, k):
     if diag.min() <= 1e-14 * diag.max():
         raise SingularSystem("vanishing pivot in LU factorization")
     logger.debug("assembled %d x %d system (far order %d, rotation order %d, "
-                 "%d near pairs)", n, n, order_far, order, len(near_i))
-    centre, transform = _mode_transform(flat_nodes, k)
+                 "mirrored %s, %d near pairs)", n, n, order_far, order, mirrored,
+                 len(near_i))
+    centre, transform = _mode_transform(src_nodes, src_weights, k)
     return BemSystem(
         mesh=mesh, k=k, matrix=matrix, lu=(lu, piv),
         ff_nodes=src_nodes, ff_weights=src_weights,

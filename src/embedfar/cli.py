@@ -28,6 +28,7 @@ from .bem import (
     build_system as build_bem_system,
 )
 from .coefficients import (
+    MAX_CANONICAL_COUNT,
     NoConvergence,
     SingularSubmatrix,
     ZeroColumnEncountered,
@@ -276,11 +277,18 @@ def _bem_system(config, shape, refinement=1.0):
 
 def _canonical_count(config, shape):
     """config's canonical angle count M~ for shape: --mtilde, or by
-    default 3/2 times the coefficient count M, never below M."""
+    default 3/2 times the coefficient count M, never below M and never
+    above coefficients.MAX_CANONICAL_COUNT."""
     mtilde = config.mtilde or default_oversampling(shape.m)
     if mtilde < shape.m:
         raise ConfigError(
             f"mtilde {mtilde} is below the coefficient count M = {shape.m}"
+        )
+    if mtilde > MAX_CANONICAL_COUNT:
+        raise ConfigError(
+            f"mtilde {mtilde} exceeds {MAX_CANONICAL_COUNT}, the largest "
+            "canonical angle count: the M~ x M~ canonical matrix and its SVD "
+            "grow as M~^2 in memory and M~^3 in time"
         )
     return mtilde
 

@@ -36,6 +36,11 @@ _ZERO_COLUMN_TOL = 1e-14
 # or 2M, greedy-step gaps between tied columns reach 5.5e-12 and all others
 # exceed 2.0e-9; the tolerance sits 18x and 20x inside that empty band
 _TIE_TOL = 1e-10
+# the canonical matrix is M~ x M~ complex and its SVD keeps two more of that
+# size: 200 MB at this count, and the O(M~^3) LAPACK SVD takes about 8 s on
+# 2 vCPU (0.95 s at 1024); a larger count fails or stalls only after every
+# canonical solve
+MAX_CANONICAL_COUNT = 2048
 
 
 class NoConvergence(RuntimeError):

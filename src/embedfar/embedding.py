@@ -35,6 +35,11 @@ _CONFLUENT = 1e-5
 # contour_eval's least admissible |Lambda(z) (z - theta)| on a contour
 _CONTOUR_GUARD = 1e-12
 _TWO_PI = 2.0 * math.pi
+# angles below this in magnitude are used as given, since n x and p x then
+# round at most twice as coarsely as on [0, 2 pi); reducing an angle just
+# below zero would move it next to 2 pi, where doubles lie 8.9e-16 apart,
+# and a point 1e-14 from a zero at 0 would lose a tenth of its distance
+_ANGLE_RANGE = 4.0 * math.pi
 
 
 class PoleAtTheta(ZeroDivisionError):
@@ -52,6 +57,30 @@ class DoublePoleInSimpleBranch(RuntimeError):
 def reduce_angle(theta):
     """Map angles into [0, 2*pi)."""
     return np.mod(theta, _TWO_PI)
+
+
+def _angle(x):
+    """The float x, reduced into [0, 2*pi] through its sine and cosine,
+    whose argument reduction is exact, when |x| >= _ANGLE_RANGE; a
+    non-finite x raises."""
+    x = float(x)
+    if abs(x) < _ANGLE_RANGE:
+        return x
+    if not math.isfinite(x):
+        raise ValueError(f"angles must be finite, got {x!r}")
+    return math.atan2(math.sin(x), math.cos(x)) % _TWO_PI
+
+
+def _angles(x):
+    """_angle for each entry of the float array x: the array itself when
+    no entry needs reducing, else a copy with those entries reduced."""
+    inside = np.abs(x) < _ANGLE_RANGE
+    if inside.all():
+        return x
+    bad = np.count_nonzero(~np.isfinite(x))
+    if bad:
+        raise ValueError(f"angles must be finite, got {bad} non-finite of {x.size}")
+    return np.where(inside, x, np.arctan2(np.sin(x), np.cos(x)) % _TWO_PI)
 
 
 def lambda_weight(theta, alpha, p):
@@ -361,7 +390,7 @@ class StabilizedEvaluator:
 
     def coefficients(self, alpha):
         """b(alpha) over basis.angles."""
-        return self._coefficients(self.basis.hat.rows(float(alpha)))
+        return self._coefficients(self.basis.hat.rows(_angle(alpha)))
 
     def _coefficients(self, rows):
         """b(alpha) = r(alpha) K from rows of basis.hat whose first is the
@@ -382,12 +411,9 @@ class StabilizedEvaluator:
         times the modes of basis.hat, in one product, the numerator.  A
         near point takes its branch by the rules every near point of a
         sweep follows and integrates its one rectangle with the integrator
-        a sweep gives all of its rectangles.  The kept grid is left alone."""
-        theta, alpha = float(theta), float(alpha)
-        if not (math.isfinite(theta) and math.isfinite(alpha)):
-            raise ValueError(
-                f"angles must be finite: theta={theta!r}, alpha={alpha!r}"
-            )
+        a sweep gives all of its rectangles.  The kept grid is left alone.
+        Angles of magnitude 4 pi or more are reduced first (_angle)."""
+        theta, alpha = _angle(theta), _angle(alpha)
         hat, p = self.basis.hat, self.basis.p
         lam = math.cos(p * theta) + lambda_offset(alpha, p)
         near = self._near(theta, alpha, lam)
@@ -425,15 +451,11 @@ class StabilizedEvaluator:
         and are reused while the grid's values stay the same.  The naive
         quotient and the cut for points within big_h of a zero run on
         arrays; the near points take their branch by the one-point rules
-        (_near_sweep).
+        (_near_sweep).  Angles of magnitude 4 pi or more are reduced first
+        (_angle), and the kept grid is then the reduced one.
         """
-        thetas, alpha = np.asarray(thetas, dtype=np.float64), float(alpha)
-        if not (math.isfinite(alpha) and np.isfinite(thetas).all()):
-            bad = np.count_nonzero(~np.isfinite(thetas))
-            raise ValueError(
-                f"angles must be finite: alpha={alpha!r}, {bad} non-finite "
-                f"of {thetas.size} theta values"
-            )
+        alpha = _angle(alpha)
+        thetas = _angles(np.asarray(thetas, dtype=np.float64))
         n = len(thetas)
         b = self.coefficients(alpha)
         lam = lambda_weight(thetas, alpha, self.basis.p)

@@ -17,7 +17,7 @@ from embedfar.bem import (
     build_mesh,
     build_system,
     hankel1,
-    rotation_order,
+    symmetry,
 )
 from embedfar.cli import (
     ExperimentConfig,
@@ -120,10 +120,14 @@ def test_assembly_batches_near_pairs(monkeypatch):
         far_chunks = math.ceil(n / max(1, bem._ASSEMBLY_CHUNK // (n * q)))
         # the far part's chunks plus one call for every near pair at once
         assert len(calls) <= far_chunks + 1
-        # the far part's kernel runs on the first block row alone
+        # the far part's kernel runs on the first block row alone, and on a
+        # mirrored mesh on its first half
         near = np.count_nonzero(near_pair_mask(mesh))
-        rows = n // rotation_order(mesh)
-        assert sum(calls) == rows * n * q + _NEAR_QUAD_ORDER * near
+        order, mirrored = symmetry(mesh)
+        rows = n // order
+        assert mirrored == (name != "isosceles-right")
+        computed = math.ceil(rows / 2) if mirrored else rows
+        assert sum(calls) == computed * n * q + _NEAR_QUAD_ORDER * near
 
 
 @pytest.mark.parametrize("refinement", [1.0, 4.0])
@@ -132,12 +136,19 @@ def test_assembly_batches_near_pairs(monkeypatch):
 def test_rotation_order_of_regular_polygons(name, order, k, refinement):
     epw = DEFAULT_ELEMENTS_PER_WAVELENGTH * refinement
     mesh = build_mesh(preset_shape(name), k, elements_per_wavelength=epw)
-    assert rotation_order(mesh) == order
+    # the block is one edge, mirrored across its perpendicular bisector
+    assert symmetry(mesh) == (order, True)
 
 
 def test_rotation_order_of_other_shapes(tmp_path):
+    # the screen's block is the whole mesh and has a mirror; the
+    # isosceles-right triangle's closes on itself and has none
     for name in ("isosceles-right", "screen"):
-        assert rotation_order(build_mesh(preset_shape(name), 10.0)) == 1
+        for k in (5.0, 10.0, 50.0):
+            for refinement in (1.0, 4.0):
+                epw = DEFAULT_ELEMENTS_PER_WAVELENGTH * refinement
+                mesh = build_mesh(preset_shape(name), k, elements_per_wavelength=epw)
+                assert symmetry(mesh) == (1, name == "screen")
     # a pentagon with one vertex off by 1e-9 is not regular to 1e-12
     path = tmp_path / "pentagon.txt"
 
@@ -147,18 +158,18 @@ def test_rotation_order_of_other_shapes(tmp_path):
         return build_mesh(load_geometry_file(path), 10.0)
 
     vertices = preset_shape("pentagon").vertices.copy()
-    assert rotation_order(file_mesh(vertices)) == 5
+    assert symmetry(file_mesh(vertices)) == (5, True)
     vertices[2, 1] += 1e-9
-    assert rotation_order(file_mesh(vertices)) == 1
+    assert symmetry(file_mesh(vertices)) == (1, False)
 
 
 @pytest.mark.parametrize("refinement", [1.0, 4.0])
-@pytest.mark.parametrize("name", ["square", "equilateral", "pentagon"])
+@pytest.mark.parametrize("name", ["square", "equilateral", "pentagon", "screen"])
 def test_block_row_matches_full_assembly(monkeypatch, name, refinement):
     epw = DEFAULT_ELEMENTS_PER_WAVELENGTH * refinement
     mesh = build_mesh(preset_shape(name), 10.0, elements_per_wavelength=epw)
     rolled = assemble(mesh, 10.0).matrix
-    monkeypatch.setattr(bem, "rotation_order", lambda mesh: 1)
+    monkeypatch.setattr(bem, "symmetry", lambda mesh: (1, False))
     full = assemble(mesh, 10.0).matrix
     assert np.max(np.abs(rolled - full)) <= 1e-13 * np.max(np.abs(full))
 
@@ -367,6 +378,10 @@ def test_far_field_modes_match_node_oracle(name, k):
         for j in range(len(alphas)):
             column = fields[j].value(thetas, order)
             assert float(np.max(np.abs(column - stack[..., j]))) <= 2e-15 * scale
+    # one weighted transform column per element, C-ordered so that the
+    # mode products read its transpose without a copy
+    assert system.ff_transform.shape == (fields.degree + 1, len(system.mesh))
+    assert system.ff_transform.flags.c_contiguous
     # the cut depends on k and the mesh alone
     single = system.solve_far_fields(alphas[2])
     assert fields.degree == fields[3].degree == single.degree

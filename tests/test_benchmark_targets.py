@@ -6,6 +6,8 @@ import re
 from pathlib import Path
 
 import embedfar.cli as cli
+from embedfar.bem import build_system
+from embedfar.geometry import preset_shape
 from helpers import BRANCH_LABELS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -24,6 +26,20 @@ def test_trace_targets_resolve():
         if obj is None:
             missing.append(f"{module_name}:{path}")
     assert not missing, missing
+
+
+def test_assembly_trace_reads_resolve():
+    # the tracer's callback on bem.assemble reads attributes of its result;
+    # a renamed or reshaped one would fail only inside a traced run
+    text = (PERFBENCH / "layers.py").read_text()
+    body = text.split("def assembled(")[1].split("self._wrap(")[0]
+    attrs = set(re.findall(r"\bout\.(\w+)", body))
+    assert {"ff_weights", "matrix"} <= attrs
+    system = build_system(preset_shape("square"), 5.0)
+    missing = sorted(attr for attr in attrs if not hasattr(system, attr))
+    assert not missing, missing
+    n, q = system.ff_weights.shape
+    assert n == len(system.mesh) and system.ff_nodes.shape == (n, q, 2)
 
 
 def test_tracer_counts_every_branch_label():

@@ -20,6 +20,7 @@ from embedfar.cli import (
     EXIT_OK,
     ConfigError,
     ExperimentConfig,
+    _canonical_count,
     _fmt,
     _normalize_strategy,
     load_config,
@@ -27,7 +28,7 @@ from embedfar.cli import (
     parse_config_file,
     write_csv,
 )
-from embedfar.coefficients import NoConvergence
+from embedfar.coefficients import MAX_CANONICAL_COUNT, NoConvergence
 from embedfar.embedding import StabilizedEvaluator, cluster_threshold_range
 from embedfar.geometry import MAX_ANGLE_DENOMINATOR, PRESET_NAMES, preset_shape
 from helpers import BRANCH_LABELS
@@ -540,6 +541,23 @@ def test_mtilde_below_coefficient_count_is_config_error(strategy, capsys):
     )
     assert rc == EXIT_CONFIG
     assert "mtilde 4 is below the coefficient count M = 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep"], ["grid"], ["table", "--shape-list", "square,pentagon"]]
+)
+def test_mtilde_above_the_canonical_bound_exits_2_before_the_mesh(
+    argv, no_solver, capsys
+):
+    # 100000 canonical angles used to run every solve and then fail to
+    # allocate the 149 GiB canonical matrix
+    assert main([*argv, "--mtilde", "100000"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert f"mtilde 100000 exceeds {MAX_CANONICAL_COUNT}" in err
+    shape = preset_shape("square")
+    config = ExperimentConfig(mtilde=MAX_CANONICAL_COUNT)
+    assert _canonical_count(config, shape) == MAX_CANONICAL_COUNT
 
 
 def test_oversampling_study_reports_rank_deficient_sets_as_inf(tmp_path):

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,8 @@ from embedfar.embedding import (
     PoleAtTheta,
     PoleOnContour,
     StabilizedEvaluator,
+    _angle,
+    _angles,
     _fit_quadratic,
     contour_eval,
     lambda_weight,
@@ -644,6 +647,44 @@ def test_evaluator_rejects_non_finite_angles(bad):
             attempt()
     assert calls == []
     assert sum(evaluator.branch_counts.values()) == 0
+
+
+@pytest.mark.parametrize("shape", ["square", "pentagon"])
+def test_evaluator_reduces_angles_far_outside_the_circle(shape):
+    # alpha = 1e16 used to read its rows at n alpha and its weight at p alpha,
+    # rounded by more than a turn, and so gave wrong values without a
+    # complaint; every angle must read as its exact reduction mod 2 pi
+    evaluator = build_pipeline(ExperimentConfig(shape=shape, k=10.0)).evaluator
+    thetas = np.linspace(0.0, TWO_PI, 97, endpoint=False)
+    scale = float(np.max(np.abs(evaluator.evaluate_sweep(thetas, 0.9)[0])))
+    for angle in (7.0, -0.5, -1e10, 1e16, 1e300):
+        with mpmath.workdps(400):
+            x = mpmath.mpf(angle)
+            reduced = float(x - 2 * mpmath.pi * mpmath.floor(x / (2 * mpmath.pi)))
+        # as alpha of a sweep, of points and of the coefficients
+        want, want_labels = evaluator.evaluate_sweep(thetas, reduced)
+        values, labels = evaluator.evaluate_sweep(thetas, angle)
+        assert labels.tolist() == want_labels.tolist()
+        assert float(np.max(np.abs(values - want))) <= 1e-12 * scale
+        for theta in thetas[::8]:
+            value, label = evaluator.evaluate_with_branch(theta, angle)
+            want_value, want_label = evaluator.evaluate_with_branch(theta, reduced)
+            assert label == want_label
+            assert abs(value - want_value) <= 1e-12 * scale
+        b = evaluator.coefficients(reduced)
+        defect = np.max(np.abs(evaluator.coefficients(angle) - b))
+        assert defect <= 1e-12 * np.max(np.abs(b))
+        # as theta of a sweep and of a point
+        want, want_labels = evaluator.evaluate_sweep(np.array([reduced, 1.0]), 0.9)
+        values, labels = evaluator.evaluate_sweep(np.array([angle, 1.0]), 0.9)
+        assert labels.tolist() == want_labels.tolist()
+        assert float(np.max(np.abs(values - want))) <= 1e-12 * scale
+        value, label = evaluator.evaluate_with_branch(angle, 0.9)
+        assert label == want_labels[0]
+        assert abs(value - want[0]) <= 1e-12 * scale
+    # angles within two turns of zero are used as given, bit for bit
+    assert _angles(thetas) is thetas
+    assert all(_angle(x) == x for x in (-12.5, -0.5, 0.0, 7.0, 12.5))
 
 
 def _noisy_evaluator(p, seed, fields_type=TrigFarFields):
