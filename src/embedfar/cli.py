@@ -22,12 +22,16 @@ import numpy as np
 
 from . import __version__
 from .bem import (
+    DEFAULT_CORNER_LAYERS,
+    DEFAULT_GRADING_RATIO,
     EmptyMesh,
     MAX_WAVENUMBER,
     SingularSystem,
     build_system as build_bem_system,
 )
 from .coefficients import (
+    DEFAULT_DELTA,
+    DEFAULT_STRATEGY,
     MAX_CANONICAL_COUNT,
     NoConvergence,
     SingularSubmatrix,
@@ -87,8 +91,8 @@ class ExperimentConfig:
     geometry_file: str | None = None
     k: float = 5.0
     alpha: float | None = None
-    strategy: str = "two"
-    delta: float = 1e-8
+    strategy: str = DEFAULT_STRATEGY
+    delta: float = DEFAULT_DELTA
     mtilde: int | None = None
     big_h: float = DEFAULT_NEAR_THRESHOLD
     small_h: float = DEFAULT_CLUSTER_THRESHOLD
@@ -98,8 +102,8 @@ class ExperimentConfig:
     out: str | None = None
     seed: int = 0
     elements_per_wavelength: float = 8.0
-    grading: float = 0.15
-    grading_layers: int = 8
+    grading: float = DEFAULT_GRADING_RATIO
+    grading_layers: int = DEFAULT_CORNER_LAYERS
 
     def validate(self):
         for name in _REAL_FIELDS:
@@ -768,22 +772,32 @@ def cmd_selftest(config):
 
     # the one-point path against the sweep at a naive point, midway between
     # the two zeros, at a point between small_h and big_h of a zero, where a
-    # residue corrects the quotient, and at a point within small_h of it
-    evaluator, zeros = pipeline.evaluator, pole_set(2.0, pipeline.shape.p)
-    naive = 0.5 * float(zeros[0] + zeros[1])
-    residue = zeros[0] + 0.5 * (tiny.small_h + tiny.big_h)
-    near = zeros[0] + 0.5 * tiny.small_h
-    thetas = np.concatenate([_circle_grid(200), [naive, residue, near]])
-    values, labels = evaluator.evaluate_sweep(thetas, 2.0)
-    peak = float(np.max(np.abs(values)))
-    agree = (
-        labels[-3] == "naive"
-        and labels[-2].startswith("residue")
-        and labels[-1].startswith("contour")
+    # residue corrects the quotient, and at a point within small_h of it;
+    # then, at the default thresholds, at pi + 0.02: both zeros pi -+ 0.1
+    # lie within big_h of it, and 0.2 >= big_h apart
+    zeros = pole_set(2.0, pipeline.shape.p)
+    branches = {
+        0.5 * float(zeros[0] + zeros[1]): "naive",
+        zeros[0] + 0.5 * (tiny.small_h + tiny.big_h): "residue",
+        zeros[0] + 0.5 * tiny.small_h: "contour",
+    }
+    gate = replace(
+        pipeline.evaluator,
+        near_threshold=DEFAULT_NEAR_THRESHOLD,
+        cluster_threshold=DEFAULT_CLUSTER_THRESHOLD,
     )
-    for i in (-3, -2, -1):
-        value, label = evaluator.evaluate_with_branch(thetas[i], 2.0)
-        agree &= label == labels[i] and abs(value - values[i]) <= 1e-12 * peak
+    agree = True
+    for evaluator, alpha, wanted in [
+        (pipeline.evaluator, 2.0, branches),
+        (gate, 0.1, {math.pi + 0.02: "residue:two"}),
+    ]:
+        thetas = np.append(_circle_grid(200), list(wanted))
+        values, labels = evaluator.evaluate_sweep(thetas, alpha)
+        peak = float(np.max(np.abs(values)))
+        for i, theta in enumerate(wanted, start=200):
+            value, label = evaluator.evaluate_with_branch(theta, alpha)
+            agree &= label == labels[i] and label.startswith(wanted[theta])
+            agree &= abs(value - values[i]) <= 1e-12 * peak
     checks.append(("one-point path matches the sweep", agree))
 
     failed = 0

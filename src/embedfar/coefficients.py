@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .embedding import EmbeddingBasis, StabilizedEvaluator
+from .embedding import EmbeddingBasis, StabilizedEvaluator, weight_sign
 
 DEFAULT_DELTA = 1e-8
 DEFAULT_STRATEGY = "two"
@@ -157,7 +157,7 @@ class SystemMatrix:
     sign: int = field(init=False)
 
     def __post_init__(self):
-        self.sign = -1 if self.basis.p % 2 == 0 else 1
+        self.sign = weight_sign(self.basis.p)
         self.matrix = self.basis.hat.value(self.basis.angles)
         self._svd = None
         self._subset = None

@@ -54,11 +54,6 @@ class DoublePoleInSimpleBranch(RuntimeError):
     """Simple-residue formula applied at a coalesced (double) zero."""
 
 
-def reduce_angle(theta):
-    """Map angles into [0, 2*pi)."""
-    return np.mod(theta, _TWO_PI)
-
-
 def _angle(x):
     """The float x, reduced into [0, 2*pi] through its sine and cosine,
     whose argument reduction is exact, when |x| >= _ANGLE_RANGE; a
@@ -91,23 +86,28 @@ def lambda_weight(theta, alpha, p):
     return np.cos(p * np.asarray(theta)) + lambda_offset(alpha, p)
 
 
+def weight_sign(p):
+    """(-1)^(p+1), the sign of cos(p alpha) in Lambda and of its swap."""
+    return -1 if p % 2 == 0 else 1
+
+
 def lambda_offset(alpha, p):
     """The alpha part -(-1)^p cos(p alpha) of Lambda(theta, alpha); a
     float alpha, as a sweep or a point has, gives a float from math."""
-    sign = -1.0 if p % 2 == 0 else 1.0
     if isinstance(alpha, float):
-        return sign * math.cos(p * alpha)
-    return sign * np.cos(p * np.asarray(alpha))
+        return weight_sign(p) * math.cos(p * alpha)
+    return weight_sign(p) * np.cos(p * np.asarray(alpha))
+
+
+def _zero_lattice(p):
+    """(spacing, offset): the zeros of Lambda(., alpha) are offset +- alpha
+    + n spacing, spacing 2 pi / p, offset pi / p for odd p and 0 for even."""
+    return _TWO_PI / p, (math.pi / p if p % 2 else 0.0)
 
 
 def pole_set(alpha, p):
-    """All zeros of Lambda(., alpha) in [0, 2*pi).
-
-    For even p the zeros are +-alpha + 2n pi/p; for odd p they shift by
-    pi/p.
-    """
-    spacing = _TWO_PI / p
-    offset = math.pi / p if p % 2 else 0.0
+    """All zeros of Lambda(., alpha) in [0, 2*pi) (_zero_lattice)."""
+    spacing, offset = _zero_lattice(p)
     zeros = []
     for sign in (1.0, -1.0):
         base = sign * alpha + offset
@@ -115,7 +115,7 @@ def pole_set(alpha, p):
         for n in range(n0, n0 + p + 2):
             z = base + n * spacing
             if -1e-12 <= z < _TWO_PI - 1e-12:
-                zeros.append(reduce_angle(z))
+                zeros.append(z % _TWO_PI)
     zeros.sort()
     dedup = []
     for z in zeros:
@@ -138,8 +138,7 @@ def pole_environment(theta, alpha, p):
     near theta, not reduced mod 2*pi.
     """
     theta, alpha = float(theta), float(alpha)
-    spacing = _TWO_PI / p
-    offset = math.pi / p if p % 2 else 0.0
+    spacing, offset = _zero_lattice(p)
     plus, minus = offset + alpha, offset - alpha
     near_plus = plus + round((theta - plus) / spacing) * spacing
     near_minus = minus + round((theta - minus) / spacing) * spacing
@@ -157,8 +156,7 @@ def _environments(theta, alpha, p):
     """pole_environment for an array of angles, by the same IEEE operations
     (rounding half to even, abs, copysign), so that every branch decision
     agrees with the scalar cut bit for bit."""
-    spacing = _TWO_PI / p
-    offset = math.pi / p if p % 2 else 0.0
+    spacing, offset = _zero_lattice(p)
     plus, minus = offset + alpha, offset - alpha
     near_plus = plus + np.rint((theta - plus) / spacing) * spacing
     near_minus = minus + np.rint((theta - minus) / spacing) * spacing
@@ -321,6 +319,14 @@ def contour_eval(numerator_fn, theta, alpha, p, contour, order=DEFAULT_CONTOUR_O
     return (values * weights).sum(axis=-1) / (2j * math.pi)
 
 
+def _fit_order(theta, th0, th1):
+    """The derivative order at theta0 that the quadratic fit of a point at
+    theta needs: one for theta and one for theta0' within _CONFLUENT of
+    theta0 (_fit_quadratic merges those nodes).  Elementwise on arrays,
+    where * 1 keeps numpy from adding the booleans as a logical or."""
+    return (abs(theta - th0) <= _CONFLUENT) * 1 + (abs(th0 - th1) <= _CONFLUENT)
+
+
 def _fit_quadratic(theta, th0, th1, at_theta, at_th0, at_th1):
     """Quadratic fit of the numerator at {theta, theta0, theta0'} in Newton
     form, from its values there; at_th0 holds the value at theta0 and,
@@ -336,14 +342,8 @@ def _fit_quadratic(theta, th0, th1, at_theta, at_th0, at_th1):
     confluent = abs(th0 - th1) <= _CONFLUENT
     theta_hits_pole = abs(theta - th0) <= _CONFLUENT
     if theta_hits_pole and confluent:
-        return QuadraticInterpolant(
-            newton_nodes=(th0, th0, th0),
-            newton_coeffs=(
-                complex(at_th0[0]),
-                complex(at_th0[1]),
-                0.5 * complex(at_th0[2]),
-            ),
-        )
+        f0, f1, f2 = (complex(f) for f in at_th0)
+        return QuadraticInterpolant((th0, th0, th0), (f0, f1, 0.5 * f2))
     f0 = complex(at_th0[0])
     if theta_hits_pole or confluent:
         # nodes (theta0, theta0, x): value and slope at theta0, value at x
@@ -403,21 +403,20 @@ class StabilizedEvaluator:
 
     def evaluate_with_branch(self, theta, alpha):
         """Value and branch label at one (theta, alpha) pair, in Python
-        numbers.  Lambda and the cut read only the angles, so the zeros a
-        point within big_h of a zero uses are known first; then one
-        basis.hat.rows_through call gives the rows at alpha, theta and those
-        zeros through the derivative order the point's quadratic fit needs.
-        The row at alpha times K gives the coefficients, and the others
-        times the modes of basis.hat, in one product, the numerator.  A
-        near point takes its branch by the rules every near point of a
-        sweep follows and integrates its one rectangle with the integrator
-        a sweep gives all of its rectangles.  The kept grid is left alone.
-        Angles of magnitude 4 pi or more are reduced first (_angle)."""
+        numbers.  The cut reads only the angles, so a near point knows
+        theta0 and theta0' first; one basis.hat.rows_through call then gives
+        the rows at alpha, theta and both zeros, as a sweep reads them,
+        through the order its fit needs (_fit_order).  The row at alpha
+        times K gives the coefficients, the others times the modes the
+        numerator, in one product; a near point takes its branch by the
+        sweep's rules (_near_value) and integrates its rectangle as a sweep
+        does.  The kept grid is left alone.  Angles of magnitude 4 pi or
+        more are reduced first (_angle)."""
         theta, alpha = _angle(theta), _angle(alpha)
         hat, p = self.basis.hat, self.basis.p
         lam = math.cos(p * theta) + lambda_offset(alpha, p)
         near = self._near(theta, alpha, lam)
-        zeros, order = ([], 0) if near is None else self._zeros_used(theta, *near)
+        zeros, order = ((), 0) if near is None else (near, _fit_order(theta, *near))
         rows = hat.rows_through([alpha, theta, *zeros], order)
         b = self._coefficients(rows[0])
         # theta and the zeros, then the zeros' rows of each higher order
@@ -430,11 +429,9 @@ class StabilizedEvaluator:
         if near is None:
             value, label = at[0] / lam, "naive"
         else:
-            # at[1::n] holds the orders at theta0, at[2] the value at theta0'
-            n = len(zeros)
-            at_th1 = at[2] if n == 2 else None
+            # at[1::2] holds the orders at theta0, at[2] the value at theta0'
             value, label, integrand = self._near_value(
-                theta, *near, at[0], lam, at[1::n], at_th1
+                theta, *near, at[0], lam, at[1::2], at[2]
             )
             if integrand is not None:
                 contour, rho = integrand
@@ -515,9 +512,7 @@ class StabilizedEvaluator:
         read, through the highest derivative order any of their fits
         needs, and one contour_eval call integrates all of their
         rectangles."""
-        hits = np.abs(theta - th0) <= _CONFLUENT
-        confluent = np.abs(th0 - th1) <= _CONFLUENT
-        order = int((hits | confluent).any()) + int((hits & confluent).any())
+        order = int(_fit_order(theta, th0, th1).max())
         th0, th1 = th0.tolist(), th1.tolist()
         zeros = sorted(set(th0 + th1))
         hat = self.basis.hat
@@ -554,35 +549,25 @@ class StabilizedEvaluator:
             rho, reals[0], alpha, self.basis.p, contour, self.contour_order
         )
 
-    def _zeros_used(self, theta, th0, th1):
-        """The zeros whose numerator the branch of a point within big_h of
-        th0 reads, and the derivative order its quadratic fit needs at th0;
-        th1 is read only where it differs from th0."""
-        d0, d01 = abs(theta - th0), abs(th0 - th1)
-        uses_th1 = d01 > 0.0 and (
-            d0 < self.cluster_threshold or d01 < self.near_threshold
-        )
-        hits, confluent = d0 <= _CONFLUENT, d01 <= _CONFLUENT
-        order = 2 if hits and confluent else int(hits or confluent)
-        return ([th0, th1] if uses_th1 else [th0]), order
-
     def _near_value(self, theta, th0, th1, at_theta, lam, at_th0, at_th1):
         """Branch of a point within big_h of a zero, from the numerator at
         theta, theta0 and theta0' (at_th0 also holds the derivatives the
-        point needs; at_th1 may be None where the rule does not read it)
-        and Lambda at theta: (value, label, integrand).  The
-        integrand is None, or the (rectangle, quadratic fit) whose contour
-        integral about theta (contour_eval) adds to value.  A double zero
-        is a clustered pair at distance zero; on it the contour integral is
-        the regular part (N'' + p^2 N / 6) / Lambda'' by the residue
-        theorem."""
+        point needs, _fit_order) and Lambda at theta: (value, label,
+        integrand).  The integrand is None, or the (rectangle, quadratic
+        fit) whose contour integral about theta (contour_eval) adds to
+        value.  A double zero is a clustered pair at distance zero; on it
+        the contour integral is the regular part (N'' + p^2 N / 6) /
+        Lambda'' by the residue theorem."""
         p = self.basis.p
         big_h, small_h = self.near_threshold, self.cluster_threshold
         d0, d01 = abs(theta - th0), abs(th0 - th1)
+        # theta0' is corrected where it lies within big_h of theta0 or of
+        # theta, so that midway between two zeros both are
+        corrects_th1 = d01 < big_h or abs(theta - th1) < big_h
         if d0 >= small_h and d01 >= small_h:
             # naive quotient plus corrections, the residue check first
             value = -_residue_term(p, at_th0[0], th0, theta) + at_theta / lam
-            if d01 < big_h:
+            if corrects_th1:
                 value -= _residue_term(p, at_th1, th1, theta)
                 return value, "residue:two", None
             return value, "residue:single", None
@@ -601,7 +586,7 @@ class StabilizedEvaluator:
             contour, value = rect_contour([theta, th0], small_h), 0.0
             if contour.reaches(th1):
                 contour = rect_contour([theta, th0, th1], small_h)
-            elif d01 < big_h:
+            elif corrects_th1:
                 value = -_residue_term(p, at_th1, th1, theta)
             return value, "contour:full", (contour, rho)
         contour = rect_contour([theta, th0, th1], small_h)

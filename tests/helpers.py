@@ -293,6 +293,8 @@ def scalar_dispatch(evaluator, theta, alpha):
     d0 = abs(theta - th0)
     d01 = abs(th0 - th1)
     big_h, small_h = evaluator.near_threshold, evaluator.cluster_threshold
+    # theta0' within big_h of theta0 or of theta is corrected
+    corrects_th1 = d01 < big_h or abs(theta - th1) < big_h
 
     if d0 >= big_h:
         return naive_eval(basis, b, theta, alpha), "naive"
@@ -306,7 +308,7 @@ def scalar_dispatch(evaluator, theta, alpha):
         value, pulled = _scalar_contour_value(
             evaluator, b, theta, alpha, [th0], th0, th1
         )
-        if d01 < big_h and not pulled:
+        if corrects_th1 and not pulled:
             value -= _scalar_residue_term(basis, b, th1, theta)
         return value, "contour:full"
 
@@ -327,7 +329,7 @@ def scalar_dispatch(evaluator, theta, alpha):
     # it raises before a Lambda that rounds to zero divides
     value = -_scalar_residue_term(basis, b, th0, theta)
     value += naive_eval(basis, b, theta, alpha)
-    if d01 < big_h:
+    if corrects_th1:
         value -= _scalar_residue_term(basis, b, th1, theta)
         return value, "residue:two"
     return value, "residue:single"
@@ -356,7 +358,8 @@ def _principal_part(basis, b, theta, chi, double):
 def closed_form(evaluator, theta, alpha):
     """N / Lambda minus the principal parts at the zeros within the near
     threshold of theta (theta0, and theta0' when it lies within the near
-    threshold of theta0); on a double zero, the regular part there."""
+    threshold of theta0 or of theta); on a double zero, the regular part
+    there."""
     basis, p = evaluator.basis, evaluator.basis.p
     b = evaluator.coefficients(alpha)
     big_h = evaluator.near_threshold
@@ -373,7 +376,7 @@ def closed_form(evaluator, theta, alpha):
     value = complex(naive_eval(basis, b, theta, alpha))
     if abs(theta - th0) < big_h:
         value -= _principal_part(basis, b, theta, th0, double)
-        if not double and abs(th0 - th1) < big_h:
+        if not double and min(abs(th0 - th1), abs(theta - th1)) < big_h:
             value -= _principal_part(basis, b, theta, th1, False)
     return value
 

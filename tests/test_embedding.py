@@ -793,6 +793,57 @@ def test_dispatcher_matches_oracle_at_branch_boundaries(
     _assert_matches_oracle(_EVALUATORS[p], thetas, alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.7168146928204135, 0.5092310721657348])
+def test_value_midway_between_two_zeros_is_continuous_in_alpha(alpha):
+    # theta = 0 lies midway between two zeros of Lambda(., alpha), 0.177
+    # and 0.238 apart, so rounding picks which of them is theta0; both lie
+    # within big_h of theta and are corrected whichever it picks, so
+    # moving alpha by a few ulps moves the value by rounding alone (it
+    # jumped by 3.8e-2 and 2.8e-2 of the peak with only theta0 corrected)
+    evaluator = _noisy_evaluator(5, seed=75)
+    grid = np.linspace(0.0, TWO_PI, 400, endpoint=False)
+    peak = float(np.max(np.abs(evaluator.evaluate_sweep(grid, alpha)[0])))
+    results = [
+        evaluator.evaluate_with_branch(0.0, _nudge(alpha, ulps)) for ulps in range(-3, 4)
+    ]
+    assert {label for _, label in results} == {"residue:two"}
+    values = np.array([complex(value) for value, _ in results])
+    assert float(np.max(np.abs(values - values[3]))) <= 1e-12 * peak
+
+
+@settings(max_examples=200)
+@given(
+    p=st.sampled_from(sorted(_EVALUATORS)),
+    n=st.integers(0, 9),
+    gap=st.floats(_H, 1.99 * _H),
+    position=st.floats(0.01, 0.99),
+)
+def test_both_zeros_within_big_h_are_corrected(p, n, gap, position):
+    # alpha puts two zeros the gap apart, big_h or more, about the
+    # coalescence point n pi / p; theta lies between them, within big_h of
+    # both, at the position across that window, so rounding may pick
+    # either as theta0.  At alpha and one ulp above it, the one-point path,
+    # the sweep and the scalar oracle agree on labels and values, and
+    # the value moves by rounding alone: both zeros are corrected
+    # whichever is theta0
+    alpha = (n % p) * math.pi / p + 0.5 * gap
+    zeros = pole_set(alpha, p)
+    zeros = np.append(zeros, zeros[0] + TWO_PI)
+    i = int(np.argmin(np.diff(zeros)))
+    left, right = zeros[i + 1] - _H, zeros[i] + _H
+    theta = float(left + position * (right - left))
+    thetas = np.concatenate([[theta], np.linspace(0.0, TWO_PI, 16, endpoint=False)])
+    evaluator = _EVALUATORS[p]
+    results = []
+    for a in (alpha, math.nextafter(alpha, math.inf)):
+        _assert_matches_oracle(evaluator, thetas, a)
+        results.append(evaluator.evaluate_with_branch(theta, a))
+    scale = float(np.max(np.abs(evaluator.evaluate_sweep(thetas, alpha)[0])))
+    (before, label), (after, label_after) = results
+    assert label == label_after
+    assert abs(after - before) <= 1e-12 * scale
+
+
 def _far_field_reads(monkeypatch):
     """Records every FarField row evaluation as (angles, order) and every
     FarField.value call as ("value", theta), and fails a sweep."""
@@ -837,17 +888,16 @@ def test_naive_query_reads_one_row_per_angle(monkeypatch):
 )
 def test_near_query_reads_one_row_evaluation(monkeypatch, offset, label, order):
     # a point within big_h of a zero also makes one row evaluation: at
-    # alpha, theta and the zeros its branch uses, through the derivative
-    # order its quadratic fit needs
+    # alpha, theta, theta0 and theta0', as a sweep reads them, through the
+    # derivative order its quadratic fit needs
     pipeline = build_pipeline(ExperimentConfig(shape="square", k=5.0))
     alpha = 0.6
     theta = alpha + offset
     th0, th1 = pole_environment(theta, alpha, pipeline.shape.p)
-    zeros = [th0] if label.startswith("residue") else [th0, th1]
     calls = _far_field_reads(monkeypatch)
     _, got = pipeline.evaluator.evaluate_with_branch(theta, alpha)
     assert got == label
-    assert calls == [([alpha, theta, *zeros], order)]
+    assert calls == [([alpha, theta, th0, th1], order)]
 
 
 def test_query_matches_oracle_on_the_queries_workload():
