@@ -26,7 +26,6 @@ from .embedding import (
     lambda_weight,
     naive_eval,
     pole_environment,
-    pole_set,
 )
 from .geometry import (
     RationalShape,
@@ -52,7 +51,6 @@ __all__ = [
     "lambda_weight",
     "naive_eval",
     "pole_environment",
-    "pole_set",
     "RationalShape",
     "load_geometry_file",
     "preset_shape",

@@ -52,7 +52,7 @@ from .embedding import (
     cluster_threshold_range,
     lambda_weight,
     naive_eval,
-    pole_set,
+    pole_environment,
 )
 from .geometry import (
     PRESET_NAMES,
@@ -766,26 +766,29 @@ def cmd_selftest(config):
     pipeline = build_pipeline(
         tiny, canonical=np.asarray([math.pi / 2.0, 3.0 * math.pi / 2.0, math.pi])
     )
-    ref = reference_system(pipeline)
-    e_out = output_error(pipeline, ref, [2.0], n=200)
-    checks.append(("screen pipeline error < 0.1", e_out < 0.1))
-
-    # the one-point path against the sweep at a naive point, midway between
-    # the two zeros, at a point between small_h and big_h of a zero, where a
-    # residue corrects the quotient, and at a point within small_h of it;
-    # then, at the default thresholds, at pi + 0.02: both zeros pi -+ 0.1
-    # lie within big_h of it, and 0.2 >= big_h apart
-    zeros = pole_set(2.0, pipeline.shape.p)
-    branches = {
-        0.5 * float(zeros[0] + zeros[1]): "naive",
-        zeros[0] + 0.5 * (tiny.small_h + tiny.big_h): "residue",
-        zeros[0] + 0.5 * tiny.small_h: "contour",
-    }
+    # the screen check and the gate point run at the default thresholds,
+    # which user thresholds cannot move
     gate = replace(
         pipeline.evaluator,
         near_threshold=DEFAULT_NEAR_THRESHOLD,
         cluster_threshold=DEFAULT_CLUSTER_THRESHOLD,
     )
+    ref = reference_system(pipeline)
+    e_out = output_error(replace(pipeline, evaluator=gate), ref, [2.0], n=200)
+    checks.append(("screen pipeline error < 0.1", e_out < 0.1))
+
+    # the one-point path against the sweep at a naive point, midway between
+    # the two zeros round theta = 2 (the evaluator's own cut), at a point
+    # between small_h and big_h of a zero, where a residue corrects the
+    # quotient, and at a point within small_h of it; then, at the default
+    # thresholds, at pi + 0.02: both zeros pi -+ 0.1 lie within big_h of
+    # it, and 0.2 >= big_h apart
+    th0, th1 = pole_environment(2.0, 2.0, pipeline.shape.p)
+    branches = {
+        0.5 * (th0 + th1): "naive",
+        th0 + 0.5 * (tiny.small_h + tiny.big_h): "residue",
+        th0 + 0.5 * tiny.small_h: "contour",
+    }
     agree = True
     for evaluator, alpha, wanted in [
         (pipeline.evaluator, 2.0, branches),

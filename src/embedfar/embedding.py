@@ -105,28 +105,6 @@ def _zero_lattice(p):
     return _TWO_PI / p, (math.pi / p if p % 2 else 0.0)
 
 
-def pole_set(alpha, p):
-    """All zeros of Lambda(., alpha) in [0, 2*pi) (_zero_lattice)."""
-    spacing, offset = _zero_lattice(p)
-    zeros = []
-    for sign in (1.0, -1.0):
-        base = sign * alpha + offset
-        n0 = math.floor((0.0 - base) / spacing)
-        for n in range(n0, n0 + p + 2):
-            z = base + n * spacing
-            if -1e-12 <= z < _TWO_PI - 1e-12:
-                zeros.append(z % _TWO_PI)
-    zeros.sort()
-    dedup = []
-    for z in zeros:
-        if not dedup or abs(z - dedup[-1]) > 1e-12:
-            dedup.append(z)
-    # first and last may alias mod 2*pi
-    if len(dedup) > 1 and abs(dedup[0] + _TWO_PI - dedup[-1]) < 1e-12:
-        dedup.pop()
-    return np.asarray(dedup)
-
-
 def pole_environment(theta, alpha, p):
     """Nearest zeros (theta0, theta0') of Lambda(., alpha) around theta.
 
@@ -365,6 +343,8 @@ class StabilizedEvaluator:
     The coefficients over basis.angles are b(alpha) = r(alpha) K, with
     r(alpha) the row of basis.hat at alpha and K the coefficient operator
     (coefficients.SystemMatrix.operator), (len(basis.hat.modes), len(basis)).
+    Every evaluation reads b(alpha) and the numerator at the angles it
+    needs in one read (_read): one row evaluation of basis.hat.
     build_operator is a function of no arguments that returns K; the first
     evaluation calls it and the evaluator keeps K, so a canonical system
     that cannot give one fails there and not when the evaluator is made.
@@ -390,12 +370,7 @@ class StabilizedEvaluator:
 
     def coefficients(self, alpha):
         """b(alpha) over basis.angles."""
-        return self._coefficients(self.basis.hat.rows(_angle(alpha)))
-
-    def _coefficients(self, rows):
-        """b(alpha) = r(alpha) K from rows of basis.hat whose first is the
-        row at alpha."""
-        return rows[0] @ self.operator
+        return self._read(_angle(alpha), [], 0)[0]
 
     def evaluate(self, theta, alpha):
         """Stabilized far-field value at one (theta, alpha) pair."""
@@ -404,34 +379,25 @@ class StabilizedEvaluator:
     def evaluate_with_branch(self, theta, alpha):
         """Value and branch label at one (theta, alpha) pair, in Python
         numbers.  The cut reads only the angles, so a near point knows
-        theta0 and theta0' first; one basis.hat.rows_through call then gives
-        the rows at alpha, theta and both zeros, as a sweep reads them,
-        through the order its fit needs (_fit_order).  The row at alpha
-        times K gives the coefficients, the others times the modes the
-        numerator, in one product; a near point takes its branch by the
-        sweep's rules (_near_value) and integrates its rectangle as a sweep
-        does.  The kept grid is left alone.  Angles of magnitude 4 pi or
-        more are reduced first (_angle)."""
+        theta0 and theta0' first, and the derivative order its fit needs
+        (_fit_order); one read (_read) then gives b(alpha) and the
+        numerator at theta and at both zeros, as a sweep reads its zeros.
+        A near point takes its branch by the sweep's rules (_near_value)
+        and integrates its rectangle as a sweep does.  The kept grid is
+        left alone.  Angles of magnitude 4 pi or more are reduced first
+        (_angle)."""
         theta, alpha = _angle(theta), _angle(alpha)
-        hat, p = self.basis.hat, self.basis.p
+        p = self.basis.p
         lam = math.cos(p * theta) + lambda_offset(alpha, p)
         near = self._near(theta, alpha, lam)
         zeros, order = ((), 0) if near is None else (near, _fit_order(theta, *near))
-        rows = hat.rows_through([alpha, theta, *zeros], order)
-        b = self._coefficients(rows[0])
-        # theta and the zeros, then the zeros' rows of each higher order
-        numerator_rows = rows[0][1:]
-        if order:
-            numerator_rows = np.concatenate(
-                [numerator_rows, *(r[2:] for r in rows[1:])]
-            )
-        at = _weigh(hat.product(numerator_rows), b).tolist()
+        # at[0], at[1] and at[2] are at theta, theta0 and theta0'
+        at = self._read(alpha, [theta, *zeros], order)[1]
         if near is None:
-            value, label = at[0] / lam, "naive"
+            value, label = at[0][0] / lam, "naive"
         else:
-            # at[1::2] holds the orders at theta0, at[2] the value at theta0'
             value, label, integrand = self._near_value(
-                theta, *near, at[0], lam, at[1::2], at[2]
+                theta, *near, at[0][0], lam, at[1], at[2][0]
             )
             if integrand is not None:
                 contour, rho = integrand
@@ -444,22 +410,29 @@ class StabilizedEvaluator:
     def evaluate_sweep(self, thetas, alpha):
         """Values and branch labels over a grid of observation angles.
 
-        The weighted canonical patterns on the grid do not depend on alpha
-        and are reused while the grid's values stay the same.  The naive
-        quotient and the cut for points within big_h of a zero run on
-        arrays; the near points take their branch by the one-point rules
-        (_near_sweep).  Angles of magnitude 4 pi or more are reduced first
-        (_angle), and the kept grid is then the reduced one.
+        The naive quotient and the cut for points within big_h of a zero
+        run on arrays.  The cut comes first: it gives every zero the near
+        points can read and the highest derivative order their fits need,
+        so that one read (_read) gives b(alpha) and the numerator at all of
+        those zeros.  The weighted canonical patterns on the grid do not
+        depend on alpha and are reused while the grid's values stay the
+        same; times b they give the numerator at every theta.  The near
+        points take their branch by the one-point rules (_near_sweep).
+        Angles of magnitude 4 pi or more are reduced first (_angle), and
+        the kept grid is then the reduced one.
         """
         alpha = _angle(alpha)
         thetas = _angles(np.asarray(thetas, dtype=np.float64))
         n = len(thetas)
-        b = self.coefficients(alpha)
         lam = lambda_weight(thetas, alpha, self.basis.p)
+        index, theta, th0, th1 = self._near_points(thetas, alpha, lam)
+        order = int(_fit_order(theta, th0, th1).max(initial=0))
+        th0, th1 = th0.tolist(), th1.tolist()
+        zeros = sorted(set(th0 + th1))
+        b, at_zeros = self._read(alpha, zeros, order)
         at_theta = _weigh(self._grid_patterns(thetas), b)
         labels = np.empty(n, dtype=object)
         labels.fill("naive")  # np.full takes six times as long
-        index, *near = self._near_points(thetas, alpha, lam)
         if n > len(index):
             self.branch_counts["naive"] += n - len(index)
         if not len(index):
@@ -469,7 +442,8 @@ class StabilizedEvaluator:
         far[index] = False
         np.divide(at_theta, lam, out=values, where=far)
         values[index], near_labels = self._near_sweep(
-            alpha, b, *near, at_theta[index], lam[index]
+            alpha, theta, th0, th1, at_theta[index], lam[index],
+            dict(zip(zeros, at_zeros)),
         )
         labels[index] = near_labels
         self.branch_counts.update(near_labels)
@@ -484,6 +458,19 @@ class StabilizedEvaluator:
         if self._grid[0] != key:
             self._grid = (key, self.basis.hat.value(thetas))
         return self._grid[1]
+
+    def _read(self, alpha, points, order):
+        """(b(alpha), at): b(alpha) = r(alpha) K, and at[i] the numerator
+        at points[i] with its derivatives through order, in Python numbers,
+        from one basis.hat.rows_through call at [alpha, *points] and one
+        product with the modes.  alpha and the points are floats."""
+        hat = self.basis.hat
+        rows = hat.rows_through([alpha, *points], order)
+        b = rows[0][0] @ self.operator
+        # every point's row, order by order; a view when order is 0
+        numerator_rows = np.concatenate([r[1:] for r in rows]) if order else rows[0][1:]
+        at = _weigh(hat.product(numerator_rows), b)
+        return b, at.reshape(order + 1, -1).T.tolist()
 
     def _near(self, theta, alpha, lam):
         """(theta0, theta0') when theta lies within big_h of a zero of
@@ -505,20 +492,13 @@ class StabilizedEvaluator:
         near = np.abs(theta - th0) < big_h
         return tuple(c[near] for c in (index, theta, th0, th1))
 
-    def _near_sweep(self, alpha, b, theta, th0, th1, at_theta, lam):
+    def _near_sweep(self, alpha, theta, th0, th1, at_theta, lam, at_zeros):
         """Values and labels of a sweep's points within big_h of a zero,
-        each by _near_value, the rules a one-point query follows.  One row
-        evaluation gives the numerator at every zero any of the points can
-        read, through the highest derivative order any of their fits
-        needs, and one contour_eval call integrates all of their
-        rectangles."""
-        order = int(_fit_order(theta, th0, th1).max())
-        th0, th1 = th0.tolist(), th1.tolist()
-        zeros = sorted(set(th0 + th1))
-        hat = self.basis.hat
-        at = _weigh(hat.product(np.concatenate(hat.rows_through(zeros, order))), b)
-        # each zero's numerator and its derivatives through order
-        at_zeros = dict(zip(zeros, at.reshape(order + 1, -1).T.tolist()))
+        each by _near_value, the rules a one-point query follows.  th0 and
+        th1 are lists of floats, and at_zeros maps each of those zeros to
+        the numerator there with its derivatives through the highest order
+        any of the fits needs, all from the sweep's one read.  One
+        contour_eval call integrates all of their rectangles."""
         theta, near_value = theta.tolist(), self._near_value
         values, labels, integrands = zip(*[
             near_value(t, t0, t1, at_t, lam_t, at_zeros[t0], at_zeros[t1][0])

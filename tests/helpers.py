@@ -19,6 +19,7 @@ from embedfar.embedding import (
     DoublePoleInSimpleBranch,
     StabilizedEvaluator,
     _fit_quadratic,
+    _zero_lattice,
     contour_eval,
     naive_eval,
     pole_environment,
@@ -145,6 +146,29 @@ def angle_distance(a, b=0.0):
     """Distance on the circle, in [0, pi]."""
     d = np.mod(np.asarray(a) - b, 2.0 * np.pi)
     return np.minimum(d, 2.0 * np.pi - d)
+
+
+def pole_set(alpha, p):
+    """All zeros of Lambda(., alpha) in [0, 2*pi), listed from the lattice
+    (embedding._zero_lattice) independently of the evaluator's cut."""
+    spacing, offset = _zero_lattice(p)
+    two_pi, zeros = 2.0 * math.pi, []
+    for sign in (1.0, -1.0):
+        base = sign * alpha + offset
+        n0 = math.floor((0.0 - base) / spacing)
+        for n in range(n0, n0 + p + 2):
+            z = base + n * spacing
+            if -1e-12 <= z < two_pi - 1e-12:
+                zeros.append(z % two_pi)
+    zeros.sort()
+    dedup = []
+    for z in zeros:
+        if not dedup or abs(z - dedup[-1]) > 1e-12:
+            dedup.append(z)
+    # first and last may alias mod 2*pi
+    if len(dedup) > 1 and abs(dedup[0] + two_pi - dedup[-1]) < 1e-12:
+        dedup.pop()
+    return np.asarray(dedup)
 
 
 def reconstruct(result):

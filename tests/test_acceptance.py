@@ -33,7 +33,6 @@ from embedfar.embedding import (
     contour_eval,
     lambda_weight,
     pole_environment,
-    pole_set,
     rect_contour,
 )
 from embedfar.geometry import preset_shape
@@ -87,7 +86,7 @@ def test_criterion_02_pole_structure():
     for _ in range(200):
         p = int(rng.integers(1, 7))
         alpha = float(rng.uniform(0.0, TWO_PI))
-        zeros = pole_set(alpha, p)
+        zeros = helpers.pole_set(alpha, p)
         worst_pole = max(
             worst_pole, float(np.max(np.abs(lambda_weight(zeros, alpha, p))))
         )
@@ -162,7 +161,7 @@ def test_criterion_03_residue_matches_contour():
         T, angles, fields = helpers.rank_one_family(p, rng, degree=2)
         basis = EmbeddingBasis(p=p, angles=angles, far_fields=fields)
         alpha = float(rng.uniform(0.0, TWO_PI))
-        zeros = pole_set(alpha, p)
+        zeros = helpers.pole_set(alpha, p)
         gaps = np.diff(np.concatenate([zeros, [zeros[0] + TWO_PI]]))
         sep = float(np.min(gaps)) if len(zeros) > 1 else TWO_PI
         if sep < 0.35:
@@ -311,7 +310,7 @@ def test_criterion_06_stabilization_headline():
 
     # spikes are judged inside each 0.05 rad pole window
     worst_window = 0.0
-    for chi in pole_set(alpha, pipeline.shape.p):
+    for chi in helpers.pole_set(alpha, pipeline.shape.p):
         window = stabilized[helpers.angle_distance(thetas, float(chi)) <= 0.05]
         worst_window = max(
             worst_window, float(np.max(window) / np.median(window))

@@ -436,7 +436,7 @@ def test_non_finite_flag_is_config_error(capsys):
 
 def test_sweep_solves_for_its_coefficients_once(monkeypatch, tmp_path):
     # the naive curve and the reported norm share one coefficient solve;
-    # the stabilized sweep makes the other
+    # the stabilized sweep reads b(alpha) in its own one read and makes none
     solved = []
     solve = StabilizedEvaluator.coefficients
 
@@ -448,7 +448,7 @@ def test_sweep_solves_for_its_coefficients_once(monkeypatch, tmp_path):
     rc = main(["sweep", "--shape", "screen", "--k", "5", "--alpha", "1.0",
                "--n-theta", "64", "--out", str(tmp_path / "sweep.csv")])
     assert rc == EXIT_OK
-    assert solved == [1.0, 1.0]
+    assert solved == [1.0]
 
 
 def test_geometry_file_round_trip(tmp_path):
@@ -647,6 +647,13 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "selftest" in out
     assert "FAIL" not in out
+
+
+def test_selftest_passes_at_a_user_big_h(capsys):
+    # the screen check runs at the default thresholds: at big_h = 0.1 the
+    # screen's error is 0.115, above the check's 0.1
+    assert main(["selftest", "--big-h", "0.1"]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_module_entry_point_shows_usage():

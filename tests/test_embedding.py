@@ -33,7 +33,6 @@ from embedfar.embedding import (
     lambda_weight,
     naive_eval,
     pole_environment,
-    pole_set,
     rect_contour,
 )
 from embedfar.geometry import PRESET_NAMES
@@ -47,6 +46,7 @@ from helpers import (
     exact_coefficients,
     exact_evaluator,
     exact_operator,
+    pole_set,
     random_trig,
     rank_one_family,
     residue_eval,
@@ -923,16 +923,46 @@ def test_query_matches_oracle_on_the_queries_workload():
     assert {"naive", "residue:single", "residue:two", "contour:full"} <= labels
 
 
+@pytest.mark.parametrize("shape", ["pentagon", "square"])
+def test_sweep_query_and_coefficients_read_one_b(monkeypatch, shape):
+    # b(alpha) has one reader, _read: the b a sweep reads, the b each
+    # one-point query reads, through order 0 or 1, and
+    # evaluator.coefficients(alpha) are bitwise equal
+    evaluator = build_pipeline(ExperimentConfig(shape=shape, k=10.0)).evaluator
+    p = evaluator.basis.p
+    read, seen = StabilizedEvaluator._read, []
+
+    def recorded(self, alpha, points, order):
+        b, at = read(self, alpha, points, order)
+        seen.append((alpha, order, b.tobytes()))
+        return b, at
+
+    monkeypatch.setattr(StabilizedEvaluator, "_read", recorded)
+    grid = np.linspace(0.0, TWO_PI, 200, endpoint=False)
+    for alpha in (0.3, 1.1, 2.5, 4.0):
+        th0, _ = pole_environment(2.0, alpha, p)
+        thetas = [th0 + 0.5, th0 + 0.05, th0 + 0.003, th0]
+        seen.clear()
+        evaluator.evaluate_sweep(np.append(grid, thetas), alpha)
+        for theta in thetas:
+            evaluator.evaluate_with_branch(theta, alpha)
+        b = evaluator.coefficients(alpha).tobytes()
+        assert len(seen) == len(thetas) + 2
+        assert {a for a, _, _ in seen} == {alpha}
+        assert {order for _, order, _ in seen} >= {0, 1}
+        assert [got for _, _, got in seen] == [b] * len(seen)
+
+
 def test_far_field_calls_per_sweep():
-    # a sweep reads the weighted patterns through one row evaluation each
-    # for the row at alpha, the grid when it is new, and the numerator at
-    # every zero its near points can read, through every order they need
+    # a sweep reads the weighted patterns through one row evaluation for
+    # the grid when it is new and one more, its read, at alpha and at every
+    # zero its near points can read, through every order they need
     p = 3
     sizes = []
 
     class Counting(TrigFarFields):
         def rows_through(self, theta, order):
-            sizes.append(np.size(theta))
+            sizes.append((np.size(theta), np.ravel(theta)[0]))
             return super().rows_through(theta, order)
 
     evaluator = _noisy_evaluator(p, seed=45, fields_type=Counting)
@@ -943,28 +973,29 @@ def test_far_field_calls_per_sweep():
         sizes.clear()
         evaluator.evaluate_sweep(grid.copy(), alpha)  # equal content, new array
         per_sweep.append(list(sizes))
-    grid_calls = [n for calls in per_sweep for n in calls if n == len(grid)]
+    grid_calls = [n for calls in per_sweep for n, _ in calls if n == len(grid)]
     assert len(grid_calls) == 1
-    for calls in per_sweep:
-        further = [n for n in calls if n != len(grid)]
-        # the row at alpha for b, then the zeros; a zero near
-        # theta = 0 = 2 pi can enter through two representatives 2 pi apart
-        assert len(further) == 2
-        assert further[0] == 1
-        assert further[1] <= 2 * p + 2
+    for alpha, calls in zip(alphas, per_sweep):
+        further = [(n, first) for n, first in calls if n != len(grid)]
+        # alpha first, then the zeros; a zero near theta = 0 = 2 pi can
+        # enter through two representatives 2 pi apart
+        assert len(further) == 1
+        n, first = further[0]
+        assert first == alpha
+        assert 2 <= n <= 2 * p + 3
 
     edited = grid.copy()
     edited += 0.01
     sizes.clear()
     evaluator.evaluate_sweep(edited, alphas[0])
-    assert sizes.count(len(grid)) == 1
+    assert [n for n, _ in sizes].count(len(grid)) == 1
 
     # point queries leave the kept grid alone
     evaluator.evaluate(0.5, alphas[0])
     evaluator.evaluate_with_branch(float(edited[3]), alphas[1])
     sizes.clear()
     evaluator.evaluate_sweep(edited.copy(), alphas[2])
-    assert sizes.count(len(grid)) == 0
+    assert [n for n, _ in sizes].count(len(grid)) == 0
 
 
 def test_one_contour_pass_per_sweep(monkeypatch):
