@@ -16,6 +16,7 @@ import os
 import sys
 import time
 import typing
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -393,15 +394,6 @@ def output_error(pipeline, ref_system, alphas, n=_ERROR_GRID_SIZE, axis=0):
     )
 
 
-def naive_error_curve(basis, b, alpha, thetas, ref_values, scale):
-    """Relative error of the naive quotient with coefficients b, +inf
-    exactly on the poles."""
-    ok = np.abs(lambda_weight(thetas, alpha, basis.p)) > 1e-12
-    err = np.full(len(thetas), np.inf)
-    err[ok] = np.abs(naive_eval(basis, b, thetas[ok], alpha) - ref_values[ok]) / scale
-    return err
-
-
 def _report_lines(pipeline, ref, e_out, coefficient_norm, start):
     """Run summary of sweep and grid: errors, conditioning, branch counts
     and the wall time since start."""
@@ -435,12 +427,7 @@ def _fmt(value):
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    number = float(value)
-    if math.isnan(number):
-        return "nan"
-    if math.isinf(number):
-        return "inf" if number > 0 else "-inf"
-    return repr(number)
+    return repr(float(value))
 
 
 def write_csv(path, command, config, header, rows, extra_metadata=None):
@@ -471,22 +458,31 @@ def _print_report(lines, out_paths):
 # subcommands ------------------------------------------------------------
 
 
+def sweep_errors(pipeline, ref, alpha, thetas):
+    """The sweep experiment at incidence alpha over the observation angles
+    thetas, against the refined system ref: (naive, stabilized, labels, b).
+    naive and stabilized are the errors of the naive quotient (+inf
+    exactly on the poles) and of the stabilized map, relative to the
+    reference peak; labels are the stabilized map's branches, and b the
+    coefficients b(alpha) that the naive quotient takes."""
+    ref_values = ref.solve_far_fields([alpha])[0].value(thetas)
+    scale = float(np.max(np.abs(ref_values)))
+    values, labels = pipeline.evaluator.evaluate_sweep(thetas, alpha)
+    b = pipeline.evaluator.coefficients(alpha)
+    basis = pipeline.matrix.basis
+    off = np.abs(lambda_weight(thetas, alpha, basis.p)) > 1e-12
+    naive = np.full(len(thetas), np.inf)
+    naive[off] = np.abs(naive_eval(basis, b, thetas[off], alpha) - ref_values[off]) / scale
+    return naive, np.abs(values - ref_values) / scale, labels, b
+
+
 def cmd_sweep(config):
     start = time.perf_counter()
     alpha = config.alpha if config.alpha is not None else 5.0 * math.pi / 4.0
     pipeline = build_pipeline(config)
     ref = reference_system(pipeline)
-
     thetas = _circle_grid(config.n_theta)
-    ref_values = ref.solve_far_fields([alpha])[0].value(thetas)
-    scale = float(np.max(np.abs(ref_values)))
-    values, labels = pipeline.evaluator.evaluate_sweep(thetas, alpha)
-    stabilized = np.abs(values - ref_values) / scale
-    b = pipeline.evaluator.coefficients(alpha)
-    naive = naive_error_curve(
-        pipeline.matrix.basis, b, alpha, thetas, ref_values, scale
-    )
-
+    naive, stabilized, labels, b = sweep_errors(pipeline, ref, alpha, thetas)
     rows = [
         (thetas[i], naive[i], stabilized[i], labels[i])
         for i in range(len(thetas))
@@ -586,103 +582,105 @@ def _screen_angles(mtilde):
     return np.asarray(_SCREEN_BASE_ANGLES + _SCREEN_EXTRA_ANGLES[: mtilde - 2])
 
 
-def _trial_error(base, config, ref, alphas):
-    """Output error and coefficient norm for config's solve strategy on
-    base's canonical system."""
-    trial = replace(base, evaluator=make_evaluator(base.matrix, config))
-    worst = output_error(trial, ref, alphas)
-    b = trial.evaluator.coefficients(alphas[0])
-    return worst, float(np.linalg.norm(b))
+# one row of the oversampling study, in its CSV's column order; delta is
+# None under strategy two, and a, the triangle's offset, None for the screen
+StudyRow = namedtuple(
+    "StudyRow",
+    "part shape k mtilde strategy delta a e_in e_out coefficient_norm cond status",
+)
 
 
-def cmd_oversampling_study(config, mtilde_list, delta_list):
-    start = time.perf_counter()
-    rows = []
-    header = [
-        "part",
-        "shape",
-        "k",
-        "mtilde",
-        "strategy",
-        "delta",
-        "a",
-        "e_in",
-        "e_out",
-        "coefficient_norm",
-        "cond",
-        "status",
-    ]
-    rng = np.random.default_rng(config.seed)
-    test_alphas = rng.uniform(0.0, 2.0 * np.pi, 3)
+def _study_part(config, part, shape_name, k, angle_sets, delta_list):
+    """The study's rows for shape_name at wavenumber k: each (a, angles)
+    canonical set under strategy two, then under strategy one at each
+    delta, with e_out at three seeded incidences.  Every trial's config
+    is checked before the first solve."""
     trials = [
         replace(config, strategy=strategy, delta=delta).validate()
         for strategy, delta in [("two", config.delta)]
         + [("one", d) for d in delta_list]
     ]
-    tri_m = preset_shape("equilateral").m
-    # degenerate screen angle sets around {pi/2, 3pi/2}, then
-    # near-degenerate equilateral-triangle angle sets a + (m-1) pi/6
-    studies = [
-        ("screen", "screen", 20.0,
-         [(None, _screen_angles(mtilde)) for mtilde in mtilde_list]),
-        ("triangle", "equilateral", 10.0,
-         [(a, np.mod(a + np.arange(tri_m) * math.pi / 6.0, 2.0 * math.pi))
-          for a in _TRIANGLE_OFFSETS]),
-    ]
-    for _, shape_name, _, _ in studies:
-        _check_cluster_threshold(config, preset_shape(shape_name))
-    for part, shape_name, k, angle_sets in studies:
-        study_config = replace(config, shape=shape_name, geometry_file=None, k=k)
-        ref = None
-        for offset, angles in angle_sets:
-            base = build_pipeline(study_config, canonical=angles)
-            if ref is None:
-                ref = reference_system(base)
-            e_in = input_error(base, ref)
-            # below np.linalg.matrix_rank's tolerance the set is rank
-            # deficient and any finite cond(A) is rounding noise
-            sigma = base.matrix.svd().sigma
-            if sigma[-1] <= len(angles) * np.finfo(float).eps * sigma[0]:
-                cond = math.inf
-            else:
-                cond = base.matrix.condition_number
-            for trial in trials:
-                try:
-                    e_out, bnorm = _trial_error(base, trial, ref, test_alphas)
-                    status = "ok"
-                except (ZeroColumnEncountered, SingularSubmatrix):
-                    # rank-deficient canonical set: report total failure
-                    e_out, bnorm, status = 1.0, 0.0, "degenerate"
-                rows.append(
-                    (
-                        part,
-                        shape_name,
-                        k,
-                        len(angles),
-                        trial.strategy,
-                        trial.delta if trial.strategy == "one" else None,
-                        offset,
-                        e_in,
-                        e_out,
-                        bnorm,
-                        cond,
-                        status,
-                    )
-                )
+    test_alphas = np.random.default_rng(config.seed).uniform(0.0, 2.0 * np.pi, 3)
+    study_config = replace(config, shape=shape_name, geometry_file=None, k=k)
+    ref = None
+    rows = []
+    for offset, angles in angle_sets:
+        base = build_pipeline(study_config, canonical=angles)
+        if ref is None:
+            ref = reference_system(base)
+        e_in = input_error(base, ref)
+        # below M~ eps times the scale of the data that A samples, its
+        # largest singular value or the largest l1 norm of a canonical
+        # far field's modes (a bound on that field's peak), the set is
+        # rank deficient and any finite cond(A) is rounding noise: the
+        # bare screen pair's A is such noise throughout
+        sigma = base.matrix.svd().sigma
+        scale = max(sigma[0], np.abs(base.far_fields.modes).sum(axis=0).max())
+        if sigma[-1] <= len(angles) * np.finfo(float).eps * scale:
+            cond = math.inf
+        else:
+            cond = base.matrix.condition_number
+        for trial in trials:
+            evaluator = make_evaluator(base.matrix, trial)
+            try:
+                e_out = output_error(replace(base, evaluator=evaluator), ref, test_alphas)
+                bnorm = float(np.linalg.norm(evaluator.coefficients(test_alphas[0])))
+                status = "ok"
+            except (ZeroColumnEncountered, SingularSubmatrix):
+                # rank-deficient canonical set: report total failure
+                e_out, bnorm, status = 1.0, 0.0, "degenerate"
+            rows.append(StudyRow(
+                part, shape_name, k, len(angles), trial.strategy,
+                trial.delta if trial.strategy == "one" else None, offset,
+                e_in, e_out, bnorm, cond, status,
+            ))
+    return rows
 
+
+def screen_study(config, mtilde_list, delta_list):
+    """The study's screen part at k = 20: the degenerate pair
+    {pi/2, 3pi/2}, extended to each canonical count in mtilde_list."""
+    angle_sets = [(None, _screen_angles(mtilde)) for mtilde in mtilde_list]
+    return _study_part(config, "screen", "screen", 20.0, angle_sets, delta_list)
+
+
+def triangle_study(config, delta_list):
+    """The study's triangle part at k = 10: the near-degenerate
+    equilateral-triangle sets a + (m-1) pi/6 at each offset a."""
+    tri_m = preset_shape("equilateral").m
+    angle_sets = [
+        (a, np.mod(a + np.arange(tri_m) * math.pi / 6.0, 2.0 * math.pi))
+        for a in _TRIANGLE_OFFSETS
+    ]
+    return _study_part(config, "triangle", "equilateral", 10.0, angle_sets, delta_list)
+
+
+def cmd_oversampling_study(config, mtilde_list, delta_list):
+    start = time.perf_counter()
+    # both parts' shapes are checked before the screen's first solve
+    for shape_name in ("screen", "equilateral"):
+        _check_cluster_threshold(config, preset_shape(shape_name))
+    rows = screen_study(config, mtilde_list, delta_list)
+    rows += triangle_study(config, delta_list)
     out = config.out or "oversampling_study.csv"
-    write_csv(out, "study-oversampling", config, header, rows)
+    write_csv(out, "study-oversampling", config, StudyRow._fields, rows)
     print(f"rows          {len(rows)}")
     print(f"wall time     {time.perf_counter() - start:.1f} s")
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_table(config, k_list, shape_list, epw_list):
-    start = time.perf_counter()
+# one row of the refinement table, in its CSV's column order
+TableRow = namedtuple("TableRow", "k shape n_elements e_in e_out ratio cond")
+
+
+def table_rows(config, k_list, shape_list, epw_list):
+    """The refinement table: for each shape and k, in that order, one row
+    per elements-per-wavelength value, against one reference refined from
+    the finest mesh, with e_out over config's n_alpha x n_theta torus.
+    Every row's config is checked before the first solve."""
     if not (k_list and shape_list and epw_list):
         raise ConfigError("table needs at least one k, shape and epw value")
-    # every row's config is checked before the first solve
     problems = [
         [
             replace(
@@ -701,32 +699,25 @@ def cmd_table(config, k_list, shape_list, epw_list):
     alphas = _circle_grid(config.n_alpha)
     rows = []
     for trials in problems:
-        # one reference per problem, refined from its finest mesh
         finest = max(trials, key=lambda trial: trial.elements_per_wavelength)
         ref = _bem_system(finest, load_shape(finest), _REFERENCE_REFINEMENT)
         for trial in trials:
             pipeline = build_pipeline(trial)
             e_in = input_error(pipeline, ref)
             e_out = output_error(pipeline, ref, alphas, config.n_theta, axis=None)
-            rows.append(
-                (
-                    trial.k,
-                    trial.shape,
-                    len(pipeline.system.mesh.lengths),
-                    e_in,
-                    e_out,
-                    e_out / e_in if e_in > 0 else math.inf,
-                    pipeline.matrix.condition_number,
-                )
-            )
+            rows.append(TableRow(
+                trial.k, trial.shape, len(pipeline.system.mesh.lengths),
+                e_in, e_out, e_out / e_in if e_in > 0 else math.inf,
+                pipeline.matrix.condition_number,
+            ))
+    return rows
+
+
+def cmd_table(config, k_list, shape_list, epw_list):
+    start = time.perf_counter()
+    rows = table_rows(config, k_list, shape_list, epw_list)
     out = config.out or "table.csv"
-    write_csv(
-        out,
-        "table",
-        config,
-        ["k", "shape", "n_elements", "e_in", "e_out", "ratio", "cond"],
-        rows,
-    )
+    write_csv(out, "table", config, TableRow._fields, rows)
     print(f"rows          {len(rows)}")
     print(f"wall time     {time.perf_counter() - start:.1f} s")
     print(f"wrote {out}")

@@ -9,7 +9,6 @@ criterion therefore still reports the measured numbers.
 import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -18,12 +17,13 @@ from embedfar.cli import (
     ExperimentConfig,
     build_pipeline,
     input_error,
-    naive_error_curve,
-    output_error,
     reference_system,
+    screen_study,
+    sweep_columns,
+    sweep_errors,
+    table_rows,
 )
 from embedfar.coefficients import (
-    ZeroColumnEncountered,
     build_system as build_coefficient_system,
     column_subset,
     tsvd_pseudoinverse,
@@ -293,18 +293,7 @@ def test_criterion_06_stabilization_headline():
     e_in = input_error(pipeline, ref)
 
     thetas = np.linspace(0.0, TWO_PI, 1000, endpoint=False)
-    ref_values = ref.solve_far_fields([alpha])[0].value(thetas)
-    scale = float(np.max(np.abs(ref_values)))
-    values, _ = pipeline.evaluator.evaluate_sweep(thetas, alpha)
-    stabilized = np.abs(values - ref_values) / scale
-    naive = naive_error_curve(
-        pipeline.matrix.basis,
-        pipeline.evaluator.coefficients(alpha),
-        alpha,
-        thetas,
-        ref_values,
-        scale,
-    )
+    naive, stabilized, _, _ = sweep_errors(pipeline, ref, alpha, thetas)
     max_naive = float(np.max(naive[np.isfinite(naive)]))
     max_stab = float(np.max(stabilized))
 
@@ -321,9 +310,7 @@ def test_criterion_06_stabilization_headline():
     # zeros at 0 and pi and the contour:pair branch covers the points
     # between the rectangle round each and the near threshold: its error
     # may spike no more than at the simple zeros above
-    ref_values = ref.solve_far_fields([0.0])[0].value(thetas)
-    values, labels = pipeline.evaluator.evaluate_sweep(thetas, 0.0)
-    coalesced = np.abs(values - ref_values)
+    _, coalesced, labels, _ = sweep_errors(pipeline, ref, 0.0, thetas)
     coalesced_ratio = float(np.max(coalesced) / np.median(coalesced))
     pair_points = int(np.count_nonzero(labels == "contour:pair"))
 
@@ -360,28 +347,19 @@ def test_criterion_06_stabilization_headline():
 def test_criterion_07_embedding_conditioning():
     start = time.perf_counter()
     refinements = [4.0, 8.0, 16.0]
-    grid = np.linspace(0.0, TWO_PI, 200, endpoint=False)
-    rows = []
-    ok = True
+    # `embedfar table` at k = 5 on a 200 x 200 torus: per shape, one row
+    # per refinement, in refinement order
+    table = table_rows(
+        ExperimentConfig(n_theta=200, n_alpha=200),
+        [5.0], ["square", "equilateral"], refinements,
+    )
+    rows = [
+        (row.shape, epw, row.e_in, row.e_out, row.ratio)
+        for row, epw in zip(table, refinements * 2)
+    ]
+    ok = all(1.0 <= ratio <= 1e5 for *_, ratio in rows)
     for shape_name in ("square", "equilateral"):
-        shape = preset_shape(shape_name)
-        config = ExperimentConfig(shape=shape_name, k=5.0)
-        ref = build_bem_system(
-            shape,
-            config.k,
-            elements_per_wavelength=max(refinements) * 4.0,
-            grading_ratio=config.grading,
-            corner_layers=config.grading_layers,
-        )
-        e_ins = []
-        for epw in refinements:
-            pipeline = build_pipeline(replace(config, elements_per_wavelength=epw))
-            e_in = input_error(pipeline, ref)
-            e_out = output_error(pipeline, ref, grid, 200, axis=None)
-            ratio = e_out / e_in
-            e_ins.append(e_in)
-            rows.append((shape_name, epw, e_in, e_out, ratio))
-            ok = ok and 1.0 <= ratio <= 1e5
+        e_ins = [r[2] for r in rows if r[0] == shape_name]
         ok = ok and all(a > b for a, b in zip(e_ins, e_ins[1:]))
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 600.0
@@ -400,30 +378,18 @@ def test_criterion_07_embedding_conditioning():
 
 def test_criterion_08_degenerate_recovery():
     start = time.perf_counter()
-    pair = [math.pi / 2.0, 3.0 * math.pi / 2.0]
-    config = ExperimentConfig(shape="screen", k=20.0)
-    rng = np.random.default_rng(config.seed)
-    test_alphas = rng.uniform(0.0, TWO_PI, 3)
-
-    triple = build_pipeline(config, canonical=np.asarray(pair + [math.pi]))
-    ref = reference_system(triple)
-    e_in = input_error(triple, ref)
-    e_out_triple = output_error(triple, ref, test_alphas)
-
-    # the bare pair: strategy two cannot rank-reveal the all-zero system,
-    # which the study convention records as total failure (error one)
-    pair_two = build_pipeline(config, canonical=np.asarray(pair))
-    try:
-        e_out_pair = output_error(pair_two, ref, test_alphas)
-        degenerate = False
-    except ZeroColumnEncountered:
-        e_out_pair = 1.0
-        degenerate = True
-    pair_one = build_pipeline(
-        ExperimentConfig(shape="screen", k=20.0, strategy="one"),
-        canonical=np.asarray(pair),
-    )
-    e_out_pair_one = output_error(pair_one, ref, test_alphas)
+    # the study's screen part at k = 20: the bare pair {pi/2, 3pi/2} and
+    # the triple that adds pi, under strategy two and under strategy one at
+    # delta 1e-8.  Strategy two cannot rank-reveal the pair's all-zero
+    # system, which the study records as total failure (error one)
+    rows = {
+        (row.mtilde, row.strategy): row
+        for row in screen_study(ExperimentConfig(), [2, 3], [1e-8])
+    }
+    pair, triple = rows[2, "two"], rows[3, "two"]
+    e_out_pair, e_out_pair_one = pair.e_out, rows[2, "one"].e_out
+    e_in, e_out_triple = triple.e_in, triple.e_out
+    degenerate = pair.status == "degenerate"
 
     elapsed = time.perf_counter() - start
     ok = (
@@ -494,11 +460,7 @@ def test_criterion_10_reciprocity():
     e_in = input_error(pipeline, ref)
 
     grid_angles = np.linspace(0.0, TWO_PI, 100, endpoint=False)
-    grid = np.empty((100, 100), dtype=np.complex128)
-    for j, alpha in enumerate(grid_angles):
-        grid[:, j], _ = pipeline.evaluator.evaluate_sweep(
-            grid_angles, float(alpha)
-        )
+    grid = sweep_columns(pipeline.evaluator, grid_angles, grid_angles)
     defect = float(np.max(np.abs(grid - grid.T)))
     bound = 10.0 * e_in * float(np.max(np.abs(grid)))
     elapsed = time.perf_counter() - start

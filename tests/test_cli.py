@@ -246,6 +246,20 @@ def test_sweep_csv_is_deterministic(tmp_path):
     assert branches <= BRANCH_LABELS
 
 
+def test_table_csv_is_deterministic(tmp_path):
+    out = tmp_path / "table.csv"
+    argv = ["table", "--shape-list", "screen", "--k-list", "2", "--epw-list",
+            "4", "--n-alpha", "4", "--n-theta", "8", "--out", str(out)]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    data = [line for line in outputs[0].decode().splitlines() if line[:1] != "#"]
+    assert data[0] == "k,shape,n_elements,e_in,e_out,ratio,cond"
+    assert len(data) == 2 and data[1].startswith("2.0,screen,")
+
+
 def test_grid_writes_values_and_spot_checks(tmp_path):
     out = tmp_path / "grid.csv"
     rc = main(
@@ -561,18 +575,26 @@ def test_mtilde_above_the_canonical_bound_exits_2_before_the_mesh(
 
 
 def test_oversampling_study_reports_rank_deficient_sets_as_inf(tmp_path):
+    # the bare screen pair's A is rounding noise throughout, 6e-15 against
+    # a far-field peak of 20, so its own largest singular value cannot
+    # flag it; strategy two then meets an all-zero column
     out = tmp_path / "study.csv"
     rc = main(
-        ["study-oversampling", "--mtilde-list", "3", "--delta-list", "1e-8",
+        ["study-oversampling", "--mtilde-list", "2,3", "--delta-list", "1e-8",
          "--out", str(out)]
     )
     assert rc == EXIT_OK
     lines = [line for line in out.read_text().splitlines() if line[:1] != "#"]
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    screen = [row["cond"] for row in rows if row["part"] == "screen"]
+    screen = [row for row in rows if row["part"] == "screen"]
     triangle = [float(row["cond"]) for row in rows if row["part"] == "triangle"]
-    assert screen and set(screen) == {"inf"}
+    assert [row["mtilde"] for row in screen] == ["2", "2", "3", "3"]
+    assert {row["cond"] for row in screen} == {"inf"}
+    pair = screen[0]
+    assert (pair["strategy"], pair["status"], pair["e_out"]) == (
+        "two", "degenerate", "1.0"
+    )
     assert triangle and all(1.0 <= cond < 1e6 for cond in triangle)
 
 

@@ -1076,6 +1076,22 @@ def test_oracle_raises_the_evaluators_failure_beside_a_double_zero():
     _assert_matches_oracle(evaluator, np.array([theta, 0.3]), alpha)
 
 
+def test_sweep_with_no_near_point_is_the_naive_quotient():
+    # a sweep with no point within big_h of a zero returns before the
+    # near-point rules, which need at least one point
+    p, alpha = 3, 0.7
+    evaluator = _noisy_evaluator(p, seed=49)
+    th0, th1 = pole_environment(1.0, alpha, p)
+    theta = 0.5 * (th0 + th1)
+    assert abs(theta - th0) > DEFAULT_NEAR_THRESHOLD
+    values, labels = evaluator.evaluate_sweep(np.array([theta]), alpha)
+    assert labels.tolist() == ["naive"]
+    assert dict(evaluator.branch_counts) == {"naive": 1}
+    value, label = evaluator.evaluate_with_branch(theta, alpha)
+    assert label == "naive"
+    assert abs(values[0] - value) <= 1e-12 * abs(value)
+
+
 def test_branch_counts_tally_every_returned_label():
     p = 3
     evaluator = _noisy_evaluator(p, seed=48)
